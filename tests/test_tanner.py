@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import deque
 
@@ -185,3 +186,15 @@ class TestPeg:
         spec = EnsembleSpec(504, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
         wins = sum(peg_girth >= girth(sample_graph(spec, s)) for s in range(10))
         assert wins >= 9
+
+    @pytest.mark.parametrize("n_vars, var_degrees, n_checks, digest", [
+        (5400, [3] * 5400, 4050,
+         "5e31832bec4d7a06feeeaed99a0191ff7f77626cb160dd5a9d53fc18d348688e"),
+        (504, [3] * 504, 378,
+         "3eaf654b21dfbdc4c8aeb0f24ad1bf9071dcd98b6a904458f0b51bb46603f076"),
+        (300, [2] * 100 + [3] * 100 + [5] * 100, 200,
+         "e12287d6bd5bb8ea19fe3aaf7ade07ec76064a4db7067bffd2202df065580778"),
+    ])
+    def test_golden_edges(self, n_vars, var_degrees, n_checks, digest):
+        g = peg_construct(n_vars, var_degrees, n_checks)
+        assert hashlib.sha256(g.edges().tobytes()).hexdigest() == digest
