@@ -1,7 +1,15 @@
 """Tanner graphs: construction, sampling, and distance queries.
 
 Graphs are immutable after construction and precompute edge-indexed CSR
-layouts so message passing and breadth-first searches stay vectorized.
+layouts for message passing.  Every breadth-first search in this module
+(distance queries, neighborhoods, girth, and the ring search of the PEG
+construction) runs on one level-synchronous kernel, `_bfs_levels`, over
+sentinel-padded adjacency tables: row u of ``var_adj`` lists the checks
+of variable u padded with the id ``n_checks``, and row c of ``chk_adj``
+lists the variables of check c padded with ``n_vars``.  The label arrays
+carry one extra slot per side for the sentinel, which is always marked
+as seen, so one BFS level is a gather, a seen-filter and a sort-free
+scatter-and-mark dedupe.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ class TannerGraph:
     ----------
     n_vars, n_checks : int
         Node counts on each side.
-    edges : iterable of (var, check) pairs
+    edges : (E, 2) int array or iterable of (var, check) pairs
         Edge set; parallel edges are rejected.
 
     Notes
@@ -37,7 +45,9 @@ class TannerGraph:
     def __init__(self, n_vars: int, n_checks: int, edges):
         if n_vars < 1 or n_checks < 1:
             raise InvalidSpecError("graph needs at least one node per side")
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -46,30 +56,26 @@ class TannerGraph:
             pairs.min() < 0 or pairs[:, 0].max() >= n_vars or pairs[:, 1].max() >= n_checks
         ):
             raise InvalidSpecError("edge endpoint out of range")
-        order = np.lexsort((pairs[:, 0], pairs[:, 1]))
-        pairs = pairs[order]
-        key = pairs[:, 1] * n_vars + pairs[:, 0]
+        key = np.sort(pairs[:, 1] * n_vars + pairs[:, 0])
         if key.size and np.any(np.diff(key) == 0):
             raise InvalidSpecError("parallel edges are not allowed")
 
         self.n_vars = int(n_vars)
         self.n_checks = int(n_checks)
-        self.edge_var = pairs[:, 0].copy()
-        self.edge_chk = pairs[:, 1].copy()
-        self.n_edges = int(pairs.shape[0])
+        self.edge_chk, self.edge_var = np.divmod(key, n_vars)
+        self.n_edges = int(key.size)
 
         # Check-side CSR follows canonical edge order directly.
-        self.chk_ptr = np.zeros(n_checks + 1, dtype=np.int64)
-        np.add.at(self.chk_ptr, self.edge_chk + 1, 1)
-        np.cumsum(self.chk_ptr, out=self.chk_ptr)
-        self.chk_edge = np.arange(self.n_edges, dtype=np.int64)
+        self.chk_ptr = _csr_ptr(self.edge_chk, n_checks)
 
-        # Variable-side CSR permutes edge ids into (var, check) order.
-        vorder = np.lexsort((self.edge_chk, self.edge_var))
-        self.var_ptr = np.zeros(n_vars + 1, dtype=np.int64)
-        np.add.at(self.var_ptr, self.edge_var + 1, 1)
-        np.cumsum(self.var_ptr, out=self.var_ptr)
-        self.var_edge = vorder.astype(np.int64)
+        # Variable-side CSR permutes edge ids into (var, check) order; the
+        # stable sort keeps each variable's edges in canonical check order.
+        self.var_ptr = _csr_ptr(self.edge_var, n_vars)
+        self.var_edge = np.argsort(self.edge_var, kind="stable")
+
+        # Sentinel-padded tables for `_bfs_levels`.
+        self.var_adj = _pad_rows(self.var_ptr, self.edge_chk[self.var_edge], self.n_checks)
+        self.chk_adj = _pad_rows(self.chk_ptr, self.edge_var, self.n_vars)
 
     # -- basic accessors -------------------------------------------------
 
@@ -88,8 +94,7 @@ class TannerGraph:
 
     def check_neighbors(self, c: int) -> np.ndarray:
         """Variable nodes adjacent to check c."""
-        e = self.chk_edge[self.chk_ptr[c]:self.chk_ptr[c + 1]]
-        return self.edge_var[e]
+        return self.edge_var[self.chk_ptr[c]:self.chk_ptr[c + 1]]
 
     def edges(self) -> np.ndarray:
         """Canonical (var, check) edge array, shape (E, 2)."""
@@ -114,24 +119,67 @@ class TannerGraph:
             f"n_edges={self.n_edges})"
         )
 
-    @classmethod
-    def from_check_neighbors(cls, neighbor_lists, n_vars: int) -> "TannerGraph":
-        edges = [(int(v), c) for c, nbrs in enumerate(neighbor_lists) for v in nbrs]
-        return cls(n_vars, len(neighbor_lists), edges)
+
+def _csr_ptr(ids: np.ndarray, size: int) -> np.ndarray:
+    """Row pointers of a CSR layout whose rows hold ``bincount(ids)`` entries."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=size), out=ptr[1:])
+    return ptr
 
 
-# -- vectorized BFS ------------------------------------------------------
+def _pad_rows(ptr: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
+    """CSR rows as a table padded with ``sentinel``, plus one all-sentinel row."""
+    deg = np.diff(ptr)
+    width = max(int(deg.max(initial=0)), 1)
+    table = np.full((deg.size + 1, width), sentinel, dtype=np.int64)
+    table[:-1][np.arange(width) < deg[:, None]] = data
+    return table
 
 
-def _gather(indptr: np.ndarray, data: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Concatenate data[indptr[u]:indptr[u+1]] over all u in nodes."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype)
-    starts = np.repeat(indptr[nodes], counts)
-    shift = np.repeat(np.cumsum(counts) - counts, counts)
-    return data[starts + np.arange(total) - shift]
+# -- the BFS kernel --------------------------------------------------------
+
+
+def _bfs_levels(var_adj: np.ndarray, chk_adj: np.ndarray, root: int,
+                var_dist: np.ndarray, chk_dist: np.ndarray,
+                max_depth: int | None = None):
+    """Level-synchronous BFS from variable ``root``, one level per step.
+
+    ``var_adj``/``chk_adj`` are sentinel-padded tables (see the module
+    docstring).  ``var_dist``/``chk_dist`` hold one slot per node plus a
+    last slot for the sentinel.  The first step resets them: -1 for every
+    node, the root at 0 and the sentinels marked as seen; each node
+    reached later gets its depth written in place.
+
+    Yields ``(depth, nodes, merged)`` for depths 1..max_depth: the nodes
+    first reached at that depth (checks on odd depths, variables on even
+    ones) in no particular order, and whether some node among them has two
+    or more neighbors on the previous level.  Stops early at an empty
+    level; the caller may stop sooner by leaving its loop.
+    """
+    var_dist.fill(-1)
+    chk_dist.fill(-1)
+    var_dist[-1] = chk_dist[-1] = 0
+    var_dist[root] = 0
+    frontier = np.array([root], dtype=np.int64)
+    depth = 0
+    while max_depth is None or depth < max_depth:
+        depth += 1
+        adj, dist = (var_adj, chk_dist) if depth % 2 else (chk_adj, var_dist)
+        # take/compress: the same gathers as fancy and boolean indexing,
+        # with less per-call overhead on the many small levels.
+        reached = adj.take(frontier, axis=0).ravel()
+        reached = reached.compress(dist.take(reached) < 0)
+        k = reached.size
+        if k == 0:
+            return
+        # Scatter-and-mark dedupe in O(k): the unlabeled slots serve as
+        # scratch, and exactly one occurrence of each node reads back its
+        # own position, whichever write won.
+        slot = np.arange(k)
+        dist[reached] = slot
+        frontier = reached.compress(dist.take(reached) == slot)
+        dist[frontier] = depth
+        yield depth, frontier, frontier.size < k
 
 
 def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None,
@@ -142,32 +190,15 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None,
     reached within ``max_depth``.  When ``stop_var`` is given the search
     exits as soon as that variable has been labeled.
     """
-    var_dist = np.full(g.n_vars, -1, dtype=np.int64)
-    chk_dist = np.full(g.n_checks, -1, dtype=np.int64)
-    var_dist[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    chk_of_var_edge = g.edge_chk[g.var_edge]
-    var_of_chk_edge = g.edge_var  # canonical order is check-sorted already
-    depth = 0
-    while frontier.size and (max_depth is None or depth < max_depth):
-        depth += 1
-        if depth % 2 == 1:
-            nbrs = _gather(g.var_ptr, chk_of_var_edge, frontier)
-            nbrs = nbrs[chk_dist[nbrs] < 0]
-            if nbrs.size == 0:
-                break
-            frontier = np.unique(nbrs)
-            chk_dist[frontier] = depth
-        else:
-            nbrs = _gather(g.chk_ptr, var_of_chk_edge, frontier)
-            nbrs = nbrs[var_dist[nbrs] < 0]
-            if nbrs.size == 0:
-                break
-            frontier = np.unique(nbrs)
-            var_dist[frontier] = depth
-            if stop_var is not None and var_dist[stop_var] >= 0:
-                break
-    return var_dist, chk_dist
+    if not 0 <= root < g.n_vars:
+        raise IndexError(f"variable index {root} out of range")
+    var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
+    chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
+    for depth, _, _ in _bfs_levels(g.var_adj, g.chk_adj, root, var_dist, chk_dist,
+                                   max_depth):
+        if stop_var is not None and depth % 2 == 0 and var_dist[stop_var] >= 0:
+            break
+    return var_dist[:-1], chk_dist[:-1]
 
 
 def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
@@ -239,15 +270,8 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
             levels.append(np.flatnonzero(var_dist == d).astype(np.int64))
         else:
             levels.append(np.flatnonzero(chk_dist == d).astype(np.int64))
-    included_chk = np.flatnonzero((chk_dist >= 0) & (chk_dist <= k))
-    var_in = (var_dist >= 0) & (var_dist <= k)
-    edge_rows = []
-    for c in included_chk:
-        nbrs = g.check_neighbors(c)
-        nbrs = nbrs[var_in[nbrs]]
-        if nbrs.size:
-            edge_rows.append(np.column_stack([nbrs, np.full(nbrs.size, c, dtype=np.int64)]))
-    edges = np.concatenate(edge_rows) if edge_rows else np.empty((0, 2), dtype=np.int64)
+    keep = (var_dist[g.edge_var] >= 0) & (chk_dist[g.edge_chk] >= 0)
+    edges = np.column_stack([g.edge_var[keep], g.edge_chk[keep]])
     n_nodes = sum(lvl.size for lvl in levels)
     tree_like = edges.shape[0] == n_nodes - 1
     return NeighborhoodView(root=v, depth=k, levels=tuple(levels), edges=edges,
@@ -291,6 +315,8 @@ def sample_graph(spec: EnsembleSpec, seed,
     return graph
 
 
+
+
 # -- progressive edge growth ----------------------------------------------
 
 
@@ -309,6 +335,14 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     side with E divisible by M yields an exactly biregular graph); when
     every non-adjacent check is full the ceiling is waived rather than
     failing the construction.
+
+    The search from a variable stops early at the first check ring, at
+    depth 3 or more, that brings the count of reached checks below the
+    ceiling up to the count of all such checks: that ring is the farthest
+    one holding a candidate, so the pick is the same as after a full
+    search.  When the variable's component runs out first, or every check
+    below the ceiling is adjacent to the variable, or none is left, the
+    search runs to the end and the rule above applies unchanged.
     """
     degrees = np.asarray(var_degrees, dtype=np.int64)
     if degrees.shape != (n_vars,):
@@ -320,126 +354,89 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
             "a variable degree exceeds the number of checks (simple graph impossible)"
         )
 
+    # Growing sentinel-padded tables for `_bfs_levels`.
     max_var_deg = int(degrees.max()) if degrees.size else 0
-    var_adj = np.full((n_vars, max(max_var_deg, 1)), -1, dtype=np.int64)
+    var_adj = np.full((n_vars + 1, max(max_var_deg, 1)), n_checks, dtype=np.int64)
     var_fill = np.zeros(n_vars, dtype=np.int64)
     chk_cap = max(8, int(np.ceil(degrees.sum() / n_checks)) + 4)
-    chk_adj = np.full((n_checks, chk_cap), -1, dtype=np.int64)
+    chk_adj = np.full((n_checks + 1, chk_cap), n_vars, dtype=np.int64)
     chk_deg = np.zeros(n_checks, dtype=np.int64)
     chk_ids = np.arange(n_checks, dtype=np.int64)
+    var_dist = np.empty(n_vars + 1, dtype=np.int64)
+    chk_dist = np.empty(n_checks + 1, dtype=np.int64)
 
-    def bfs_check_dist(v: int) -> np.ndarray:
-        chk_dist = np.full(n_checks, -1, dtype=np.int64)
-        var_seen = np.zeros(n_vars, dtype=bool)
-        var_seen[v] = True
-        frontier = np.array([v], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            cand = var_adj[frontier].ravel()
-            cand = cand[cand >= 0]
-            cand = np.unique(cand[chk_dist[cand] < 0])
-            if cand.size == 0:
-                break
-            chk_dist[cand] = depth
-            depth += 1
-            nxt = chk_adj[cand].ravel()
-            nxt = nxt[nxt >= 0]
-            nxt = np.unique(nxt[~var_seen[nxt]])
-            if nxt.size == 0:
-                break
-            var_seen[nxt] = True
-            frontier = nxt
-        return chk_dist
+    cap = int(np.ceil(degrees.sum() / n_checks)) if degrees.sum() else 1
+    n_open = n_checks  # checks below the ceiling
 
     def pick(candidates: np.ndarray) -> int:
         sub = chk_deg[candidates]
         best = np.lexsort((candidates, sub))[0]
         return int(candidates[best])
 
-    cap = int(np.ceil(degrees.sum() / n_checks)) if degrees.sum() else 1
-
-    def under_cap(candidates: np.ndarray) -> np.ndarray:
-        open_slots = candidates[chk_deg[candidates] < cap]
-        return open_slots if open_slots.size else candidates
+    def far_check(v: int) -> int:
+        reached_open = 0
+        for depth, ring, _ in _bfs_levels(var_adj, chk_adj, v, var_dist, chk_dist):
+            if depth % 2 == 0:
+                continue
+            ring = ring[chk_deg[ring] < cap]
+            reached_open += ring.size
+            if ring.size and reached_open == n_open and depth >= 3:
+                return pick(ring)
+        dist = chk_dist[:-1]
+        unreached = chk_ids[dist < 0]
+        open_unreached = unreached[chk_deg[unreached] < cap]
+        if open_unreached.size:
+            return pick(open_unreached)
+        # Every open check sits next to v (or all are full): waive the
+        # ceiling, keep max distance.
+        if unreached.size:
+            return pick(unreached)
+        far = int(dist.max())
+        if far <= 1:
+            raise ConstructionError(f"variable {v} is already adjacent to every check")
+        return pick(chk_ids[dist == far])
 
     order = np.lexsort((np.arange(n_vars), degrees))
     for v in order:
         for _ in range(int(degrees[v])):
-            if var_fill[v] == 0:
-                c = pick(under_cap(chk_ids))
-            else:
-                chk_dist = bfs_check_dist(int(v))
-                unreached = chk_ids[chk_dist < 0]
-                open_unreached = unreached[chk_deg[unreached] < cap]
-                if open_unreached.size:
-                    c = pick(open_unreached)
-                else:
-                    far_order = np.unique(chk_dist)[::-1]
-                    c = -1
-                    for far in far_order:
-                        if far <= 1:
-                            break
-                        ring = chk_ids[chk_dist == far]
-                        ring = ring[chk_deg[ring] < cap]
-                        if ring.size:
-                            c = pick(ring)
-                            break
-                    if c < 0:
-                        # Every open check sits inside the neighborhood (or
-                        # all are full): waive the ceiling, keep max distance.
-                        if unreached.size:
-                            c = pick(unreached)
-                        else:
-                            far = int(chk_dist.max())
-                            if far <= 1:
-                                raise ConstructionError(
-                                    f"variable {v} is already adjacent to every check"
-                                )
-                            c = pick(chk_ids[chk_dist == far])
+            c = far_check(int(v)) if var_fill[v] else int(np.argmin(chk_deg))
             var_adj[v, var_fill[v]] = c
             var_fill[v] += 1
             if chk_deg[c] == chk_adj.shape[1]:
-                chk_adj = np.hstack(
-                    [chk_adj, np.full((n_checks, chk_adj.shape[1]), -1, dtype=np.int64)]
-                )
+                chk_adj = np.hstack([chk_adj, np.full_like(chk_adj, n_vars)])
             chk_adj[c, chk_deg[c]] = v
             chk_deg[c] += 1
+            if chk_deg[c] == cap:
+                n_open -= 1
 
-    edges = [(int(v), int(c)) for v in range(n_vars)
-             for c in var_adj[v, :var_fill[v]]]
+    filled = var_adj[:-1]
+    edges = np.column_stack([np.repeat(np.arange(n_vars), var_fill),
+                             filled[filled < n_checks]])
     return TannerGraph(n_vars, n_checks, edges)
 
 
 def girth(g: TannerGraph, cutoff: int | None = None) -> float:
     """Length of the shortest cycle, or ``math.inf`` for a forest.
 
-    Runs one BFS per variable node and records the shortest cycle seen
-    through each root; ``cutoff`` stops early once a cycle of at most
-    that length has been found.  Intended for desk-scale graphs.
+    Runs one BFS per variable node.  A node at depth d with two or more
+    neighbors at depth d-1 closes a walk of length 2d through the root,
+    which contains a cycle of at most that length; the first such depth
+    over a root on a shortest cycle gives the girth exactly.  ``cutoff``
+    stops early once a cycle of at most that length has been found, so
+    the result is <= cutoff iff the girth is.  Intended for desk-scale
+    graphs.
     """
-    adj: list[list[int]] = [[] for _ in range(g.n_vars + g.n_checks)]
-    for v, c in zip(g.edge_var, g.edge_chk):
-        adj[v].append(g.n_vars + int(c))
-        adj[g.n_vars + int(c)].append(int(v))
+    var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
+    chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
     best = inf
     for root in range(g.n_vars):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if 2 * dist[u] >= best:
-                continue
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    best = min(best, dist[u] + dist[w] + 1)
+        # Only depths with 2 * depth < best can improve on best.
+        max_depth = None if best == inf else best // 2 - 1
+        for depth, _, merged in _bfs_levels(g.var_adj, g.chk_adj, root, var_dist,
+                                            chk_dist, max_depth):
+            if merged:
+                best = 2 * depth
+                break
         if best == 4:
             break  # bipartite minimum; nothing shorter exists
         if cutoff is not None and best <= cutoff:

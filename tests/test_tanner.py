@@ -4,11 +4,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
                         InvalidSpecError, TannerGraph, distance, girth,
                         neighborhood, peg_construct, sample_graph,
                         sample_graph_with_attempts, variable_distances)
+from ldpcbounds.tanner import bfs_distances
 
 
 def reference_distance(g, vi, vj):
@@ -35,6 +38,103 @@ def reference_distance(g, vi, vj):
     return math.inf
 
 
+def reference_bfs(g, root, max_depth=None, stop_var=None):
+    """Level-by-level list BFS over the CSR accessors, with the documented stops."""
+    var_dist = [-1] * g.n_vars
+    chk_dist = [-1] * g.n_checks
+    var_dist[root] = 0
+    frontier = [root]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        if depth % 2:
+            dist, nbrs = chk_dist, g.var_neighbors
+        else:
+            dist, nbrs = var_dist, g.check_neighbors
+        nxt = []
+        for u in frontier:
+            for w in nbrs(u):
+                if dist[w] < 0:
+                    dist[w] = depth
+                    nxt.append(int(w))
+        frontier = nxt
+        if depth % 2 == 0 and stop_var is not None and var_dist[stop_var] >= 0:
+            break
+    return var_dist, chk_dist
+
+
+def reference_peg(n_vars, var_degrees, n_checks):
+    """Edge list of the PEG rule in `peg_construct`'s docstring, by plain BFS."""
+    if any(d < 0 or d > n_checks for d in var_degrees):
+        raise ConstructionError("degree out of range")
+    total = sum(var_degrees)
+    cap = -(-total // n_checks) if total else 1
+    var_nbrs = [[] for _ in range(n_vars)]
+    chk_nbrs = [[] for _ in range(n_checks)]
+
+    def check_dist(v):
+        dist = {}
+        seen = {v}
+        queue = deque([(v, 0)])
+        while queue:
+            u, d = queue.popleft()
+            for c in var_nbrs[u]:
+                if c not in dist:
+                    dist[c] = d + 1
+                    for w in chk_nbrs[c]:
+                        if w not in seen:
+                            seen.add(w)
+                            queue.append((w, d + 2))
+        return dist
+
+    for v in sorted(range(n_vars), key=lambda u: (var_degrees[u], u)):
+        for _ in range(var_degrees[v]):
+            if not var_nbrs[v]:
+                c = min(range(n_checks), key=lambda c: (len(chk_nbrs[c]), c))
+            else:
+                dist = check_dist(v)
+                candidates = [c for c in range(n_checks) if dist.get(c) != 1]
+                open_ = [c for c in candidates if len(chk_nbrs[c]) < cap]
+                c = min(open_ or candidates,
+                        key=lambda c: (-dist.get(c, math.inf), len(chk_nbrs[c]), c))
+            var_nbrs[v].append(c)
+            chk_nbrs[c].append(v)
+    return sorted((c, v) for v in range(n_vars) for c in var_nbrs[v])
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                         max_size=n * m))
+    return TannerGraph(n, m, sorted(edges))
+
+
+@st.composite
+def peg_inputs(draw):
+    """(n_checks, var_degrees); degrees above n_checks exercise the error path."""
+    m = draw(st.integers(1, 25))
+    top = draw(st.integers(0, 6))
+    return m, draw(st.lists(st.integers(0, top), min_size=1, max_size=40))
+
+
+def hand_built_graphs():
+    return [
+        TannerGraph(2, 1, [(0, 0), (1, 0)]),
+        TannerGraph(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1)]),
+        TannerGraph(2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+        TannerGraph(3, 2, [(0, 0), (1, 1)]),
+        TannerGraph(10, 3, [(0, j) for j in range(3)]
+                    + [(3 * j + i, j) for j in range(3) for i in (1, 2, 3)]),
+        TannerGraph(4, 3, [(0, 0), (1, 0), (3, 0), (1, 1), (2, 1), (0, 2), (2, 2), (3, 2)]),
+        sample_graph(EnsembleSpec(24, DegreeDistribution.regular(3),
+                                  DegreeDistribution.regular(4)), 0),
+        sample_graph(EnsembleSpec(40, DegreeDistribution("node", {2: 0.5, 3: 0.5}),
+                                  DegreeDistribution("node", {4: 0.6, 5: 0.4})), 1),
+    ]
+
+
 class TestTannerGraph:
     def test_parallel_edges_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -59,6 +159,18 @@ class TestTannerGraph:
         a = TannerGraph(3, 2, [(0, 0), (1, 1), (2, 0)])
         b = TannerGraph(3, 2, [(2, 0), (0, 0), (1, 1)])
         assert a == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_array_input_matches_pair_list(self, g, rnd):
+        pairs = [tuple(map(int, e)) for e in g.edges()]
+        rnd.shuffle(pairs)
+        h = TannerGraph(g.n_vars, g.n_checks, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert h == TannerGraph(g.n_vars, g.n_checks, pairs) == g
+        for v in range(g.n_vars):
+            assert h.var_neighbors(v).tolist() == sorted(c for u, c in pairs if u == v)
+        for c in range(g.n_checks):
+            assert h.check_neighbors(c).tolist() == sorted(u for u, d in pairs if d == c)
 
 
 class TestSampling:
@@ -117,6 +229,31 @@ class TestDistances:
                 for vj in range(24):
                     assert distance(g, vi, vj) == reference_distance(g, vi, vj)
 
+    @pytest.mark.parametrize("index", range(len(hand_built_graphs())))
+    def test_bfs_matches_reference_on_hand_built_graphs(self, index):
+        g = hand_built_graphs()[index]
+        for root in range(g.n_vars):
+            for max_depth in (None, 0, 1, 2, 3, 5):
+                for stop_var in (None, *range(g.n_vars)):
+                    got = bfs_distances(g, root, max_depth=max_depth, stop_var=stop_var)
+                    want = reference_bfs(g, root, max_depth=max_depth, stop_var=stop_var)
+                    assert [d.tolist() for d in got] == list(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_bfs_matches_reference_on_random_graphs(self, g, data):
+        root = data.draw(st.integers(0, g.n_vars - 1))
+        max_depth = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+        stop_var = data.draw(st.one_of(st.none(), st.integers(0, g.n_vars - 1)))
+        got = bfs_distances(g, root, max_depth=max_depth, stop_var=stop_var)
+        want = reference_bfs(g, root, max_depth=max_depth, stop_var=stop_var)
+        assert [d.tolist() for d in got] == list(want)
+
+    def test_bfs_rejects_root_out_of_range(self, tree_graph):
+        for root in (-1, tree_graph.n_vars):
+            with pytest.raises(IndexError):
+                bfs_distances(tree_graph, root)
+
 
 class TestNeighborhood:
     def test_depth_zero(self, tree_graph):
@@ -155,11 +292,36 @@ class TestNeighborhood:
                             if reference_distance(g, v, u) <= k}
                     assert got == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_induced_edges_match_per_check_scan(self, g, data):
+        v = data.draw(st.integers(0, g.n_vars - 1))
+        k = data.draw(st.integers(0, 6))
+        var_dist, chk_dist = reference_bfs(g, v, max_depth=k)
+        want = [(int(u), c) for c in range(g.n_checks) if chk_dist[c] >= 0
+                for u in g.check_neighbors(c) if var_dist[u] >= 0]
+        view = neighborhood(g, v, k)
+        assert view.edges.dtype == np.int64
+        assert view.edges.tolist() == [list(e) for e in want]
+
     def test_cycle_detection(self):
         # 4-cycle: two checks sharing two variables.
         g = TannerGraph(2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)])
         view = neighborhood(g, 0, 2)
         assert not view.tree_like
+
+
+class TestGirth:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(0, 12))
+    def test_matches_networkx(self, g, cutoff):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n_vars + g.n_checks))
+        h.add_edges_from((int(v), g.n_vars + int(c)) for v, c in g.edges())
+        want = nx.girth(h)
+        assert girth(g) == want
+        assert (girth(g, cutoff=cutoff) <= cutoff) == (want <= cutoff)
 
 
 class TestPeg:
@@ -175,6 +337,21 @@ class TestPeg:
 
     def test_deterministic(self):
         assert peg_construct(60, [3] * 60, 45) == peg_construct(60, [3] * 60, 45)
+
+    @settings(max_examples=200, deadline=None)
+    @given(peg_inputs())
+    @example((4, [2, 1, 1, 2, 2, 4]))  # the last variable meets the waived ceiling
+    def test_matches_reference_peg(self, inputs):
+        m, degrees = inputs
+        n = len(degrees)
+        try:
+            want = reference_peg(n, degrees, m)
+        except ConstructionError:
+            with pytest.raises(ConstructionError):
+                peg_construct(n, degrees, m)
+            return
+        got = peg_construct(n, degrees, m)
+        assert [(int(v), int(c)) for v, c in got.edges()] == [(v, c) for c, v in want]
 
     def test_infeasible_degree_rejected(self):
         with pytest.raises(ConstructionError):
