@@ -172,8 +172,8 @@ def _bfs_levels(var_adj: np.ndarray, chk_adj: np.ndarray, root: int,
         k = reached.size
         if k == 0:
             return
-        # Scatter-and-mark dedupe in O(k): the unlabeled slots serve as
-        # scratch, and exactly one occurrence of each node reads back its
+        # Scatter-and-mark dedupe in O(k): the unlabeled slots hold the
+        # positions, and exactly one occurrence of each node reads back its
         # own position, whichever write won.
         slot = np.arange(k)
         dist[reached] = slot
