@@ -5,6 +5,7 @@ asserts afterwards, so a bare ``pytest -s tests/test_acceptance.py``
 reads as a checklist.  Tolerances are fixed here, not tuned at runtime.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,14 @@ FIGURE6_CONFIG = {
         "check_dist": {"5": 0.24123, "6": 0.75877},
     },
     "d_max": 14, "n_instances": 50, "pairs_per_instance": 250,
+}
+
+
+# SHA-256 of the figure5 CSVs at FIGURE5_CONFIG; any speedup of PEG, BP or
+# the Monte Carlo harness must leave these bytes unchanged.
+FIGURE5_DIGESTS = {
+    "figure5.csv": "33760ced37d75a695f89d2ed1319905b160e714be72874b60682a02895cb6f56",
+    "figure5_sim.csv": "d6e0dad0b02aa27ab8252afb66ebb8f3612cd2d1523ee92aa3283c3b86577a8f",
 }
 
 
@@ -116,6 +125,13 @@ def test_criterion_3_bound_curve_sandwich(figure5_outputs):
             if main[column] == "":
                 violations.append(f"l={l}: {column} missing")
     report(3, "bound/DE/simulation sandwich", violations)
+
+
+def test_figure5_golden_digests(figure5_outputs):
+    out, manifest = figure5_outputs
+    for name, want in FIGURE5_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+        assert manifest["outputs"][name]["sha256"] == want, name
 
 
 def test_criterion_4_tail_distribution_agreement(figure6_outputs):
