@@ -17,9 +17,9 @@ from .tanner import (NeighborhoodView, TannerGraph, distance, girth,
                      neighborhood, peg_construct, sample_graph,
                      sample_graph_with_attempts, variable_distances)
 from .alist import load_alist, save_alist
-from .bp import BpState, DecodeResult, bp_marginals, bp_step, c2v_update, decode, \
-    initial_state, v2c_update
-from .simulate import BerEstimate, estimate_ber
+from .bp import BpState, DecodeResult, bec_unresolved, bp_marginals, bp_step, \
+    c2v_update, decode, initial_state, v2c_update
+from .simulate import BerEstimate, estimate_ber, estimate_ber_curve
 from .density_evolution import DeTrace, de_bec, ga_awgn, phi_approx, phi_inverse, \
     q_function
 from .regular_bounds import (BoundPoint, RegularParams, WeightBound,

@@ -5,11 +5,17 @@ previous check-to-variable messages, then every check-to-variable
 message from those fresh variable-to-check messages.  Marginals after l
 iterations combine the channel LLR with the iteration-l check messages.
 
-Infinite LLRs (erasure-channel certainties) are handled symbolically:
-sums cancel opposite infinities in pairs, and the tanh-product rule only
-emits an infinite message when every extrinsic input is infinite.
-Finite messages are clamped to +/-50 going into tanh/atanh so nothing
-overflows while erasure decoding stays exact.
+``decode`` runs the float tanh rule on any LLR vector and is the
+reference path.  Infinite LLRs (erasure-channel certainties) are handled
+symbolically: sums cancel opposite infinities in pairs, and the
+tanh-product rule only emits an infinite message when every extrinsic
+input is infinite.  Finite messages are clamped to +/-50 going into
+tanh/atanh so nothing overflows while erasure decoding stays exact.
+
+On the erasure channel every message is either erased or certainly
+right, so the same flooding schedule reduces to erasure counting
+(Luby et al., IEEE Trans. IT 47(2), 2001): ``bec_unresolved`` runs it on
+a block of trials at once with small integer counts instead of floats.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ LLR_CLAMP = 50.0
 
 
 def _scatter(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    return np.bincount(index, weights=values, minlength=size)
+    # bincount returns int64 zeros for an empty index, even with weights.
+    return np.bincount(index, weights=values, minlength=size).astype(np.float64, copy=False)
 
 
 def v2c_update(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
@@ -145,3 +152,52 @@ def decode(g: TannerGraph, llr, iterations: int) -> DecodeResult:
     marginals = bp_marginals(g, llr, state.c2v)
     hard = (marginals < 0).astype(np.uint8)
     return DecodeResult(hard_bits=hard, marginals=marginals)
+
+
+def bec_unresolved(g: TannerGraph, erased, iterations: int):
+    """Yield the bits flooding BP leaves erased after 0, 1, ..., ``iterations``.
+
+    ``erased`` is a ``(trials, n_vars)`` bool block of channel erasures,
+    one row per trial.  Each yielded ``(trials, n_vars)`` bool mask marks
+    the bits whose marginal is still zero, bit for bit the same as
+    ``decode(g, llr, l).marginals == 0`` for ``llr`` 0 on erasures and
+    +/-inf elsewhere; every other bit is decoded correctly.
+
+    On the BEC a message is either erased or certainly right.  A
+    check-to-variable message is known iff every other input of the
+    check is known, and a variable-to-check message is erased iff the
+    channel bit and every other incoming check message are erased.  The
+    one case where a variable-to-check message differs from "is the
+    variable resolved" is a variable resolved only through check c; but
+    then every other neighbour of c was already resolved, so nothing new
+    can flow out of c.  Flooding BP therefore resolves, per iteration,
+    exactly the unresolved variables that sit on a check with a single
+    unresolved neighbour.  The kernel counts unresolved neighbours per
+    check over the sentinel-padded ``chk_adj``/``var_adj`` tables, in
+    the smallest unsigned dtype that holds the largest check degree, so
+    any alist degree is safe.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    erased = np.asarray(erased, dtype=bool)
+    if erased.ndim != 2 or erased.shape[1] != g.n_vars:
+        raise ValueError(f"erased must have shape (trials, {g.n_vars})")
+    n_trials = erased.shape[0]
+    count = np.min_scalar_type(int(g.check_degrees.max(initial=0)))
+    # One row per table column; the padded sentinel rows stay 0.
+    chk_cols = np.ascontiguousarray(g.chk_adj.T)
+    var_cols = np.ascontiguousarray(g.var_adj.T)
+
+    unresolved = np.zeros((g.n_vars + 1, n_trials), dtype=bool)
+    unresolved[:-1] = erased.T
+    yield erased
+    for _ in range(iterations):
+        per_check = np.zeros((g.n_checks + 1, n_trials), dtype=count)
+        for col in chk_cols:
+            per_check += unresolved[col]
+        single = per_check == 1
+        peeled = np.zeros_like(unresolved)
+        for col in var_cols:
+            peeled |= single[col]
+        unresolved = unresolved & ~peeled
+        yield unresolved[:-1].T

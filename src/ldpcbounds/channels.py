@@ -1,8 +1,10 @@
 """Binary-input memoryless channels and their LLR output.
 
 The log-likelihood ratio of a received symbol y is ln p(y|0)/p(y|1).
-Erasure-channel outputs are exactly 0 (erased) or +/-inf (known bit);
-the decoder treats those infinities symbolically.
+Erasure-channel outputs are exactly 0 (erased) or +/-inf (known bit).
+``bp.decode`` treats those infinities symbolically; the Monte Carlo
+harness reads only the erasure pattern (``llr == 0``) and counts
+erasures with ``bp.bec_unresolved``.
 """
 
 from __future__ import annotations

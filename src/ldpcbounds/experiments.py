@@ -32,7 +32,7 @@ from .regular_bounds import (RegularParams, closed_form_lower, gamma_transform,
                              lentmaier_fit_a0, lentmaier_upper,
                              lentmaier_validity_limit, tree_regime_limit,
                              block_regime_limit)
-from .simulate import DEFAULT_TRIALS_PER_BLOCK, estimate_ber
+from .simulate import DEFAULT_TRIALS_PER_BLOCK, estimate_ber_curve
 from .tanner import TannerGraph, peg_construct
 from .degrees import realize_degree_sequences
 
@@ -92,11 +92,15 @@ class ExperimentConfig:
             raise ConfigError("config requires 'kind'")
         if "seed" not in data:
             raise ConfigError("config requires 'seed' (no unseeded runs)")
-        cfg = cls(kind=str(data["kind"]), seed=int(data["seed"]))
+        cfg = cls(kind=str(data["kind"]), seed=_integer(data["seed"], "seed"))
         for key in cls._KEYS - {"kind", "seed"}:
             if key in data and data[key] is not None:
                 setattr(cfg, key, data[key])
-        cfg.iterations = [int(x) for x in cfg.iterations]
+        if not isinstance(cfg.iterations, list):
+            raise ConfigError("iterations must be a list of integers")
+        cfg.iterations = [_integer(x, "iterations entry") for x in cfg.iterations]
+        if cfg.a0_anchor is not None:
+            cfg.a0_anchor = _integer(cfg.a0_anchor, "a0_anchor")
         return cfg
 
     @classmethod
@@ -129,6 +133,13 @@ class ExperimentConfig:
         blob = json.dumps(self.canonical_dict(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; bools, floats and strings are config errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_dist(raw: dict, perspective_hint: str) -> DegreeDistribution:
@@ -217,6 +228,15 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     if config.kind not in KINDS:
         report.errors.append(f"unknown kind {config.kind!r}")
         return report
+    if config.seed < 0:
+        report.errors.append(f"seed must be >= 0, got {config.seed}")
+    if any(l < 0 for l in config.iterations):
+        report.errors.append(f"iterations must be >= 0, got {config.iterations}")
+    if config.kind == "figure5" and config.a0_anchor is not None and config.iterations \
+            and not 0 <= config.a0_anchor <= max(config.iterations):
+        report.errors.append(
+            f"a0_anchor {config.a0_anchor} outside 0..{max(config.iterations)} "
+            "(the iteration range)")
     spec = None
     if config.ensemble is not None:
         try:
@@ -385,12 +405,11 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
 
     elif kind == "simulate":
         code = _build_code_graph(config, spec)
-        rows = []
-        for l in config.iterations:
-            est = estimate_ber(code, channel, l, config.trials, config.seed,
-                               threads=config.threads,
-                               trials_per_block=config.trials_per_block)
-            rows.append([l, est.ber, est.std_error, est.n_trials, est.n_bits])
+        ests = estimate_ber_curve(code, channel, config.iterations, config.trials,
+                                  config.seed, threads=config.threads,
+                                  trials_per_block=config.trials_per_block)
+        rows = [[l, est.ber, est.std_error, est.n_trials, est.n_bits]
+                for l, est in zip(config.iterations, ests)]
         files["simulate.csv"] = out / "simulate.csv"
         _write_csv(files["simulate.csv"], CSV_HEADERS["simulate"], rows)
 
@@ -495,11 +514,9 @@ def _run_figure5(config: ExperimentConfig, spec: EnsembleSpec,
     notes["de_label"] = label
 
     code = _build_code_graph(config, spec)
-    sims = {}
-    for l in iters:
-        sims[l] = estimate_ber(code, channel, l, config.trials, config.seed,
-                               threads=config.threads,
-                               trials_per_block=config.trials_per_block)
+    sims = dict(zip(iters, estimate_ber_curve(
+        code, channel, iters, config.trials, config.seed, threads=config.threads,
+        trials_per_block=config.trials_per_block)))
 
     if config.a0 is not None:
         a0 = config.a0

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldpcbounds import (Bec, Biawgn, Bsc, TannerGraph, bp_marginals, bp_step,
-                        c2v_update, decode, initial_state, transmit, v2c_update)
+from ldpcbounds import (Bec, Biawgn, Bsc, TannerGraph, bec_unresolved,
+                        bp_marginals, bp_step, c2v_update, decode, initial_state,
+                        transmit, v2c_update)
 
 
 def star_check(n_inputs):
@@ -165,3 +168,59 @@ class TestProperties:
             errors_s = res_s.hard_bits != s
             errors_0 = res_0.hard_bits != 0
             assert np.array_equal(errors_s, errors_0)
+
+
+@st.composite
+def graphs_with_erasures(draw):
+    """Small random graph (degree-0 and degree-1 nodes included) and an erasure block."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 8))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                         max_size=n * m))
+    trials = draw(st.integers(1, 4))
+    erased = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                           min_size=trials, max_size=trials))
+    return TannerGraph(n, m, sorted(edges)), np.array(erased, dtype=bool)
+
+
+def assert_matches_decode(g, erased, iterations):
+    masks = list(bec_unresolved(g, erased, iterations))
+    assert len(masks) == iterations + 1
+    for l, unresolved in enumerate(masks):
+        for row, mask in zip(erased, unresolved):
+            marginals = decode(g, np.where(row, 0.0, np.inf), l).marginals
+            assert not (marginals < 0).any()  # BP on the BEC never decides wrong
+            assert np.array_equal(mask, marginals == 0), f"l={l}"
+
+
+class TestBecUnresolved:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_erasures())
+    def test_matches_float_decoder(self, case):
+        g, erased = case
+        assert_matches_decode(g, erased, 5)
+
+    def test_tree_fixture(self, tree_graph):
+        erased = np.zeros((3, 10), dtype=bool)
+        erased[0, 0] = True                 # resolved by any one check
+        erased[1, [0, 1, 4, 7]] = True      # root and one leaf per check
+        erased[2, :] = True
+        assert_matches_decode(tree_graph, erased, 3)
+
+    @pytest.mark.parametrize("degree", [130, 300])
+    def test_high_degree_counts_do_not_wrap(self, degree):
+        # One check over every variable plus a degree-1 check on variable 0,
+        # so erasure counts reach the degree; 257 erasures wrap a byte to 1.
+        g = TannerGraph(degree, 2, [(v, 0) for v in range(degree)] + [(0, 1)])
+        erased = np.zeros((4, degree), dtype=bool)
+        erased[0, :128] = True
+        erased[1, :129] = True
+        erased[2, 1:min(degree, 258)] = True
+        erased[3, :] = True
+        assert_matches_decode(g, erased, 3)
+
+    def test_rejects_bad_input(self, tree_graph):
+        with pytest.raises(ValueError):
+            next(bec_unresolved(tree_graph, np.zeros((2, 9), dtype=bool), 1))
+        with pytest.raises(ValueError):
+            next(bec_unresolved(tree_graph, np.zeros((2, 10), dtype=bool), -1))

@@ -271,6 +271,20 @@ class TestCli:
             "iterations": [3], "n_samples": 2})
         assert main(["oracle", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("kind, changes", [
+        ("simulate", {"iterations": [-1]}),
+        ("figure5", {"a0_anchor": 3}),
+        ("figure5", {"a0_anchor": -1}),
+        ("simulate", {"seed": "abc"}),
+    ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed"])
+    def test_bad_config_exit_code(self, tmp_path, kind, changes):
+        path = self.write_config(tmp_path, {
+            "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE,
+            "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1, 2],
+            "trials": 4, "code": "ensemble", **changes})
+        assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_seed_override_changes_hash(self, tmp_path):
         path = self.write_config(tmp_path, {
             "kind": "de", "seed": 1, "ensemble": REGULAR_ENSEMBLE,

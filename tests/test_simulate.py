@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
 
-from ldpcbounds import (Bec, Biawgn, DegreeDistribution, EnsembleSpec,
-                        estimate_ber, q_function, sample_graph)
+from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
+                        TannerGraph, decode, estimate_ber, estimate_ber_curve,
+                        q_function, sample_graph, transmit)
+from ldpcbounds._util import STREAM_GRAPH, STREAM_TRIAL, derived_rng
+from ldpcbounds.simulate import BerEstimate
+
+SPEC_60 = EnsembleSpec(60, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+
+
+def reference_estimate(code, channel, iterations, n_trials, seed, trials_per_block):
+    """One float-BP decode per trial at this iteration count alone."""
+    units = np.zeros(n_trials, dtype=np.int64)
+    for b, lo in enumerate(range(0, n_trials, trials_per_block)):
+        graph = code
+        if not isinstance(code, TannerGraph):
+            graph = sample_graph(code, derived_rng(seed, STREAM_GRAPH, b))
+        for t in range(lo, min(lo + trials_per_block, n_trials)):
+            llr = transmit(np.zeros(graph.n_vars, dtype=np.int8), channel,
+                           derived_rng(seed, STREAM_TRIAL, t))
+            marginals = decode(graph, llr, iterations).marginals
+            units[t] = 2 * np.count_nonzero(marginals < 0) + np.count_nonzero(marginals == 0)
+    per_trial = units / (2.0 * code.n_vars)
+    return BerEstimate(
+        ber=int(units.sum()) / (2.0 * n_trials * code.n_vars),
+        std_error=float(per_trial.std(ddof=1) / np.sqrt(n_trials)),
+        n_trials=n_trials, n_bits=n_trials * code.n_vars,
+        half_error_units=int(units.sum()))
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +77,26 @@ class TestEstimateBer:
     def test_rejects_zero_trials(self, small_graph):
         with pytest.raises(ValueError):
             estimate_ber(small_graph, Bec(0.1), 1, 0, seed=1)
+
+
+class TestEstimateBerCurve:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ensemble", [False, True], ids=["fixed", "ensemble"])
+    @pytest.mark.parametrize("channel", [Bec(0.45), Bsc(0.06), Biawgn(0.8)],
+                             ids=["bec", "bsc", "awgn"])
+    def test_matches_single_iteration_runs(self, small_graph, channel, ensemble, threads):
+        code = SPEC_60 if ensemble else small_graph
+        iterations = [3, 0, 2, 3]
+        curve = estimate_ber_curve(code, channel, iterations, 24, seed=11,
+                                   threads=threads, trials_per_block=7)
+        single = [estimate_ber(code, channel, l, 24, seed=11, threads=threads,
+                               trials_per_block=7) for l in iterations]
+        reference = [reference_estimate(code, channel, l, 24, 11, 7) for l in iterations]
+        assert curve == single == reference
+        assert curve[0].half_error_units > 0
+
+    def test_rejects_bad_iterations(self, small_graph):
+        with pytest.raises(ValueError):
+            estimate_ber_curve(small_graph, Bec(0.3), [2, -1], 5, seed=1)
+        with pytest.raises(ValueError):
+            estimate_ber_curve(small_graph, Bec(0.3), [], 5, seed=1)
