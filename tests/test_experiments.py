@@ -21,6 +21,46 @@ def make_config(**kwargs):
     return ExperimentConfig.from_dict(kwargs)
 
 
+_REGULAR_34 = {"n_vars": 5400, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}}
+_FIGURE6_ENSEMBLE = {
+    "n_vars": 20000, "perspective": "edge",
+    "var_dist": {"2": 0.38354, "3": 0.04237, "4": 0.57409},
+    "check_dist": {"5": 0.24123, "6": 0.75877},
+}
+# Every field set, none at its default; threads and out_dir stay out of the hash.
+_EVERY_FIELD = {
+    "kind": "figure5", "seed": 7, "ensemble": REGULAR_ENSEMBLE, "alist": "g.alist",
+    "channel": {"type": "bec", "epsilon": 0.5}, "iterations": [2, 1, 2],
+    "theta1": 0.95, "a0": 0.75, "a0_anchor": 1, "trials": 12, "code": "ensemble",
+    "d_max": 6, "n_instances": 2, "pairs_per_instance": 25, "n_samples": 5,
+    "threads": 2, "trials_per_block": 5, "out_dir": "x",
+}
+# Full config hashes; a change here changes every manifest's config_hash.
+PINNED_HASHES = [
+    ({"kind": "figure5", "seed": 20260810, "ensemble": _REGULAR_34,
+      "channel": {"type": "bec", "epsilon": 0.6}, "iterations": [1, 2, 3, 4],
+      "trials": 371, "code": "peg"},
+     "6a400e23b9fbf25d7af78de9eff2f2792c920a4b99f21562b0958243a416c04b"),
+    ({"kind": "figure6", "seed": 20260810, "ensemble": _FIGURE6_ENSEMBLE,
+      "d_max": 14, "n_instances": 6, "pairs_per_instance": 250},
+     "14ea41abcf1b453eba6927b2ab96e3b32c092f49f353a99c589897f861617761"),
+    ({"kind": "simulate", "seed": 20260810, "ensemble": _REGULAR_34,
+      "channel": {"type": "biawgn", "sigma2": 0.7}, "iterations": [2, 4, 6, 8],
+      "trials": 200, "code": "ensemble"},
+     "eec9927c74e895d5dad25387ea3a7246262c18bd52b8256c4de13cc0b4cf7fe8"),
+    ({"kind": "oracle", "seed": 20260810,
+      "ensemble": {"n_vars": 900, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}},
+      "iterations": [1], "n_samples": 2000},
+     "ff7ea191a4e04ebb52d216a2528ca4efdad40e2d56727aa359695e106a720c73"),
+    ({"kind": "figure6", "seed": 20260810, "ensemble": _FIGURE6_ENSEMBLE,
+      "d_max": 14, "n_instances": 50, "pairs_per_instance": 250},
+     "eda26feeeb5bf19752a53e38823f0415cac02d6b1a226c8d2b3b0dd87d29c3c1"),
+    (_EVERY_FIELD, "c3be7af33344af34c2395962be40305ba03a56af4e2020d8529def0acc6286a2"),
+    ({"kind": "de", "seed": 0},
+     "ed19f70578e8eb5f94c72b1fb5834b7795578db953f812deb9beddac40ded88b"),
+]
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -43,6 +83,17 @@ class TestConfigParsing:
                         channel={"type": "bec", "epsilon": 0.4}, iterations=[1],
                         out_dir="y", threads=8)
         assert a.config_hash() == b.config_hash()
+
+    @pytest.mark.parametrize("data, digest", PINNED_HASHES, ids=[
+        "figure5-bec", "figure6-tail", "simulate-awgn", "oracle-l1",
+        "acceptance-figure6", "every-field", "defaults"])
+    def test_config_hash_pinned(self, data, digest):
+        cfg = ExperimentConfig.from_dict(data)
+        assert cfg.config_hash() == digest
+        assert list(cfg.canonical_dict()) == [
+            "kind", "seed", "ensemble", "alist", "channel", "iterations", "theta1",
+            "a0", "a0_anchor", "trials", "code", "d_max", "n_instances",
+            "pairs_per_instance", "n_samples", "trials_per_block"]
 
     def test_edge_perspective_ensemble(self):
         spec = build_spec(make_config(kind="tail", seed=1, ensemble=EDGE_ENSEMBLE,
