@@ -30,10 +30,14 @@ def load_alist(path: str | os.PathLike) -> TannerGraph:
 
     Raises AlistParseError (carrying the offending line number) for
     malformed counts, out-of-range indices, parallel edges, or adjacency
-    halves that disagree with each other.
+    halves that disagree with each other, and for a file that is not
+    ASCII text.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise AlistParseError(f"not ASCII text: byte {exc.start} is non-ASCII") from None
     lines = [(i + 1, line.split()) for i, line in enumerate(raw)]
     lines = [(no, toks) for no, toks in lines if toks]
     if len(lines) < 4:

@@ -17,6 +17,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
+# The kinds whose Monte Carlo sweep runs on a thread pool.
+THREADED_KINDS = ("simulate", "figure5")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,8 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's master seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for Monte Carlo sub-tasks")
+        if name in THREADED_KINDS:
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads for Monte Carlo sub-tasks")
     return parser
 
 
@@ -49,9 +53,7 @@ def _load_config(args) -> ExperimentConfig:
         config.seed = args.seed
     if args.out is not None:
         config.out_dir = args.out
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+    if getattr(args, "threads", None) is not None:
         config.threads = args.threads
     return config
 
@@ -74,13 +76,10 @@ def main(argv=None) -> int:
 
     try:
         manifest = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except LdpcBoundsError as exc:
+    except LdpcBoundsError as exc:  # ConfigError and every other input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for name in manifest["outputs"]:

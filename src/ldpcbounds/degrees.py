@@ -219,8 +219,7 @@ class EnsembleSpec:
         if self.n_vars < 2:
             raise InvalidSpecError("n_vars must be >= 2")
         _require_node_dists(self.var_dist, self.check_dist)
-        implied = self.n_vars * self.var_dist.mean_degree() / self.check_dist.mean_degree()
-        m = int(round(implied))
+        m = self.n_checks
         if not 0 < m < self.n_vars:
             raise InvalidSpecError(f"check count {m} leaves design rate outside (0, 1)")
         # Fails loudly now rather than at first sampling call.

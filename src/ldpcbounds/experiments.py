@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
-from math import log2
+from math import isfinite, log2
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +22,10 @@ from . import __version__
 from ._util import fmt_number
 from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
-from .degrees import DegreeDistribution, EnsembleSpec, node_perspective
+from .degrees import (DegreeDistribution, EnsembleSpec, node_perspective,
+                      realize_degree_sequences)
 from .density_evolution import de_bec, ga_awgn
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, LdpcBoundsError
 from .irregular import (empirical_tail, irregular_lower_bound,
                         tail_distribution, weight_recursion)
 from .oracle import expected_min_weight_mc
@@ -33,11 +34,7 @@ from .regular_bounds import (RegularParams, closed_form_lower, gamma_transform,
                              lentmaier_validity_limit, tree_regime_limit,
                              block_regime_limit)
 from .simulate import DEFAULT_TRIALS_PER_BLOCK, estimate_ber_curve
-from .tanner import TannerGraph, peg_construct
-from .degrees import realize_degree_sequences
-
-KINDS = ("bounds", "simulate", "de", "recursion", "tail", "oracle",
-         "figure5", "figure6")
+from .tanner import peg_construct
 
 CSV_HEADERS = {
     "bounds": "l,regime,w_ub,p_lower,gamma_lower,p_upper_lentmaier,p_lower_relaxed",
@@ -53,54 +50,62 @@ CSV_HEADERS = {
 }
 
 
+def _field(json_type: type, default=None, *, hashed: bool = True, **bounds):
+    """One config field: its JSON type, its bounds and whether it enters the hash.
+
+    ``bounds`` holds any of ``ge``, ``gt`` and ``lt``.  A ``list`` field
+    holds integers, and its bounds apply to every entry.  A field
+    without a default is required.
+    """
+    meta = {"type": json_type, "hashed": hashed, "bounds": bounds}
+    if json_type is list:
+        return field(default_factory=list, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated view of one experiment's JSON config."""
+    """Validated view of one experiment's JSON config.
 
-    kind: str
-    seed: int
-    ensemble: dict | None = None
-    alist: str | None = None
-    channel: dict | None = None
-    iterations: list[int] = field(default_factory=list)
-    theta1: float = 0.99
-    a0: float | None = None
-    a0_anchor: int | None = None
-    trials: int | None = None
-    code: str = "peg"
-    d_max: int | None = None
-    n_instances: int | None = None
-    pairs_per_instance: int | None = None
-    n_samples: int | None = None
-    threads: int = 1
-    trials_per_block: int = DEFAULT_TRIALS_PER_BLOCK
-    out_dir: str = "."
+    The fields are the schema: ``from_dict`` takes the known keys, the
+    type checks and the range checks from their metadata, and
+    ``canonical_dict`` (hence the config hash) holds every hashed field.
+    A JSON null leaves a field at its default.
+    """
 
-    _KEYS = {
-        "kind", "seed", "ensemble", "alist", "channel", "iterations", "theta1",
-        "a0", "a0_anchor", "trials", "code", "d_max", "n_instances",
-        "pairs_per_instance", "n_samples", "threads", "trials_per_block",
-        "out_dir",
-    }
+    kind: str = _field(str, MISSING)
+    seed: int = _field(int, MISSING, ge=0)
+    ensemble: dict | None = _field(dict)
+    alist: str | None = _field(str)
+    channel: dict | None = _field(dict)
+    iterations: list[int] = _field(list, ge=0)
+    theta1: float = _field(float, 0.99, gt=0, lt=1)
+    a0: float | None = _field(float, gt=0)
+    a0_anchor: int | None = _field(int, ge=0)
+    trials: int | None = _field(int, ge=1)
+    code: str = _field(str, "peg")
+    d_max: int | None = _field(int, ge=0)
+    n_instances: int | None = _field(int, ge=1)
+    pairs_per_instance: int | None = _field(int, ge=1)
+    n_samples: int | None = _field(int, ge=1)
+    threads: int = _field(int, 1, hashed=False, ge=1)
+    trials_per_block: int = _field(int, DEFAULT_TRIALS_PER_BLOCK, ge=1)
+    out_dir: str = _field(str, ".", hashed=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - cls._KEYS
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "kind" not in data:
-            raise ConfigError("config requires 'kind'")
-        if "seed" not in data:
-            raise ConfigError("config requires 'seed' (no unseeded runs)")
-        cfg = cls(kind=str(data["kind"]), seed=_integer(data["seed"], "seed"))
-        for key in cls._KEYS - {"kind", "seed"}:
-            if key in data and data[key] is not None:
-                setattr(cfg, key, data[key])
-        if not isinstance(cfg.iterations, list):
-            raise ConfigError("iterations must be a list of integers")
-        cfg.iterations = [_integer(x, "iterations entry") for x in cfg.iterations]
-        if cfg.a0_anchor is not None:
-            cfg.a0_anchor = _integer(cfg.a0_anchor, "a0_anchor")
+        for f in known.values():
+            if f.default is MISSING and f.default_factory is MISSING \
+                    and data.get(f.name) is None:
+                raise ConfigError(f"config requires '{f.name}'")
+        cfg = cls(**{key: value for key, value in data.items() if value is not None})
+        errors = _field_errors(cfg)
+        if errors:
+            raise ConfigError("; ".join(errors))
         return cfg
 
     @classmethod
@@ -108,26 +113,17 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_dict(data)
 
     def canonical_dict(self) -> dict:
-        return {
-            "kind": self.kind, "seed": self.seed, "ensemble": self.ensemble,
-            "alist": self.alist, "channel": self.channel,
-            "iterations": list(self.iterations), "theta1": self.theta1,
-            "a0": self.a0, "a0_anchor": self.a0_anchor, "trials": self.trials,
-            "code": self.code, "d_max": self.d_max,
-            "n_instances": self.n_instances,
-            "pairs_per_instance": self.pairs_per_instance,
-            "n_samples": self.n_samples,
-            "trials_per_block": self.trials_per_block,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.metadata["hashed"]}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True,
@@ -135,16 +131,39 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer; bools, floats and strings are config errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               dict: "an object", list: "a list of integers"}
+_BOUND_TESTS = {"ge": (">=", lambda v, b: v >= b), "gt": (">", lambda v, b: v > b),
+                "lt": ("<", lambda v, b: v < b)}
 
 
-def _parse_dist(raw: dict, perspective_hint: str) -> DegreeDistribution:
-    terms = {int(d): float(f) for d, f in raw.items()}
-    return DegreeDistribution(perspective_hint, terms)
+def _is(value, json_type: type) -> bool:
+    """JSON type test: bools are not numbers, and a list holds integers."""
+    if json_type is list:
+        return isinstance(value, list) and all(_is(x, int) for x in value)
+    if isinstance(value, bool):
+        return False
+    if json_type is float:
+        return isinstance(value, (int, float)) and isfinite(value)
+    return isinstance(value, json_type)
+
+
+def _field_errors(config: ExperimentConfig) -> list[str]:
+    """Type and range errors of every set field, read off the field metadata."""
+    errors = []
+    for f in fields(config):
+        value, meta = getattr(config, f.name), f.metadata
+        if value is None and f.default is None:
+            continue
+        if not _is(value, meta["type"]):
+            errors.append(f"{f.name} must be {_TYPE_NAMES[meta['type']]}, got {value!r}")
+            continue
+        entries = value if meta["type"] is list else [value]
+        for key, bound in meta["bounds"].items():
+            symbol, test = _BOUND_TESTS[key]
+            if not all(test(v, bound) for v in entries):
+                errors.append(f"{f.name} must be {symbol} {bound}, got {value!r}")
+    return errors
 
 
 def build_spec(config: ExperimentConfig) -> EnsembleSpec:
@@ -159,47 +178,50 @@ def build_spec(config: ExperimentConfig) -> EnsembleSpec:
     for key in ("n_vars", "var_dist", "check_dist"):
         if key not in ens:
             raise ConfigError(f"ensemble block missing '{key}'")
+    if not _is(ens["n_vars"], int):
+        raise ConfigError(f"ensemble n_vars must be an integer, got {ens['n_vars']!r}")
     perspective = ens.get("perspective", "node")
-    if perspective not in ("node", "edge"):
-        raise ConfigError(f"ensemble perspective must be node or edge, got {perspective!r}")
-    var_dist = _parse_dist(ens["var_dist"], perspective)
-    check_dist = _parse_dist(ens["check_dist"], perspective)
-    if perspective == "edge":
-        var_dist = node_perspective(var_dist)
-        check_dist = node_perspective(check_dist)
-    return EnsembleSpec(n_vars=int(ens["n_vars"]), var_dist=var_dist,
-                        check_dist=check_dist)
+    dists = []
+    for key in ("var_dist", "check_dist"):
+        raw = ens[key]
+        if not isinstance(raw, dict) or not all(_is(f, float) for f in raw.values()):
+            raise ConfigError(f"ensemble {key} must map degrees to numbers, got {raw!r}")
+        dist = DegreeDistribution(perspective, {int(d): f for d, f in raw.items()})
+        dists.append(node_perspective(dist) if perspective == "edge" else dist)
+    return EnsembleSpec(ens["n_vars"], *dists)
+
+
+# channel type -> (model, the parameter it takes)
+_CHANNELS = {"bec": (Bec, "epsilon"), "bsc": (Bsc, "q"), "biawgn": (Biawgn, "sigma2")}
+
+
+def _channel_number(ch: dict, key: str) -> float:
+    if key not in ch:
+        raise ConfigError(f"channel.{key} is required for {ch['type']}")
+    if not _is(ch[key], float):
+        raise ConfigError(f"channel.{key} must be a finite number, got {ch[key]!r}")
+    return float(ch[key])
 
 
 def build_channel(config: ExperimentConfig, spec: EnsembleSpec | None) -> tuple[ChannelModel, dict]:
-    """Channel model plus a notes dict echoing any unit conversion."""
-    ch = config.channel
-    if not ch or "type" not in ch:
-        raise ConfigError("config requires a 'channel' block with a 'type'")
-    kind = ch["type"]
-    notes: dict = {}
-    if kind == "bec":
-        if "epsilon" not in ch:
-            raise ConfigError("channel.epsilon is required for bec")
-        return Bec(float(ch["epsilon"])), notes
-    if kind == "bsc":
-        if "q" not in ch:
-            raise ConfigError("channel.q is required for bsc")
-        return Bsc(float(ch["q"])), notes
-    if kind == "biawgn":
-        if "sigma2" in ch:
-            return Biawgn(float(ch["sigma2"])), notes
-        if "eb_n0_db" in ch:
-            if spec is None:
-                raise ConfigError("eb_n0_db conversion needs an ensemble for the rate")
-            rate = spec.design_rate
-            sigma2 = eb_n0_to_sigma2(float(ch["eb_n0_db"]), rate)
-            notes["eb_n0_db"] = float(ch["eb_n0_db"])
-            notes["design_rate"] = rate
-            notes["sigma2"] = sigma2
-            return Biawgn(sigma2), notes
-        raise ConfigError("biawgn channel needs 'sigma2' or 'eb_n0_db'")
-    raise ConfigError(f"unknown channel type {kind!r}")
+    """Channel model plus a notes dict echoing any unit conversion.
+
+    BI-AWGN takes ``sigma2``, or ``eb_n0_db`` converted with the
+    ensemble's design rate.
+    """
+    ch = config.channel or {}
+    kind = ch.get("type")
+    if kind == "biawgn" and "sigma2" not in ch and "eb_n0_db" in ch:
+        if spec is None:
+            raise ConfigError("eb_n0_db conversion needs an ensemble for the rate")
+        eb_n0_db = _channel_number(ch, "eb_n0_db")
+        sigma2 = eb_n0_to_sigma2(eb_n0_db, spec.design_rate)
+        return Biawgn(sigma2), {"eb_n0_db": eb_n0_db, "design_rate": spec.design_rate,
+                                "sigma2": sigma2}
+    for name, (model, key) in _CHANNELS.items():
+        if kind == name:
+            return model(_channel_number(ch, key)), {}
+    raise ConfigError(f"config requires a 'channel' block with a type in {list(_CHANNELS)}")
 
 
 def _spec_is_regular(spec: EnsembleSpec) -> bool:
@@ -224,57 +246,47 @@ class ValidationReport:
 
 def validate(config: ExperimentConfig) -> ValidationReport:
     """Static checks only; nothing is executed."""
-    report = ValidationReport()
-    if config.kind not in KINDS:
+    report = ValidationReport(errors=_field_errors(config))
+    if config.kind not in _KINDS:
         report.errors.append(f"unknown kind {config.kind!r}")
+    if report.errors:
         return report
-    if config.seed < 0:
-        report.errors.append(f"seed must be >= 0, got {config.seed}")
-    if any(l < 0 for l in config.iterations):
-        report.errors.append(f"iterations must be >= 0, got {config.iterations}")
-    if config.kind == "figure5" and config.a0_anchor is not None and config.iterations \
-            and not 0 <= config.a0_anchor <= max(config.iterations):
+    kind = config.kind
+    for name in _KINDS[kind][1]:
+        if getattr(config, name) in (None, []):
+            report.errors.append(f"kind {kind} requires '{name}'")
+    if kind == "figure5" and config.a0_anchor is not None and config.iterations \
+            and config.a0_anchor > max(config.iterations):
         report.errors.append(
             f"a0_anchor {config.a0_anchor} outside 0..{max(config.iterations)} "
             "(the iteration range)")
+    if kind == "recursion" and config.iterations and max(config.iterations) < 1:
+        report.errors.append("kind recursion requires an iteration count >= 1")
+    if config.code not in ("peg", "ensemble"):
+        report.errors.append(f"unknown code construction {config.code!r}")
+    if kind == "simulate" and config.ensemble is None and config.alist is None:
+        report.errors.append("kind simulate requires 'ensemble' or 'alist'")
     spec = None
     if config.ensemble is not None:
         try:
             spec = build_spec(config)
-        except Exception as exc:
+        except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"ensemble: {exc}")
-    if config.alist is not None and not Path(config.alist).exists():
+    if config.alist is not None and not Path(config.alist).is_file():
         report.errors.append(f"alist file not found: {config.alist}")
-    if config.kind in ("bounds", "simulate", "de", "figure5") and config.channel is None:
-        report.errors.append(f"kind {config.kind} requires a channel")
     if config.channel is not None:
         try:
             build_channel(config, spec)
-        except Exception as exc:
+        except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"channel: {exc}")
-    if config.kind in ("bounds", "simulate", "de", "recursion", "figure5"):
-        if not config.iterations:
-            report.errors.append(f"kind {config.kind} requires a non-empty iteration range")
-    if config.kind in ("bounds", "figure5", "recursion") and spec is not None \
+    if kind in ("bounds", "figure5", "recursion") and spec is not None \
             and not _spec_is_regular(spec) and any(l < 1 for l in config.iterations):
         report.errors.append("irregular bound recursion requires iterations >= 1")
-    if config.kind in ("simulate", "figure5") and not config.trials:
-        report.errors.append(f"kind {config.kind} requires 'trials'")
-    if config.kind in ("tail", "figure6") and config.d_max is None:
-        report.errors.append(f"kind {config.kind} requires 'd_max'")
-    if config.kind == "figure6":
-        if not config.n_instances or not config.pairs_per_instance:
-            report.errors.append("figure6 requires n_instances and pairs_per_instance")
-    if config.kind == "oracle" and not config.n_samples:
-        report.errors.append("oracle requires 'n_samples'")
-    if config.kind in ("oracle", "tail", "figure6", "recursion", "bounds") and spec is None \
-            and config.ensemble is None:
-        report.errors.append(f"kind {config.kind} requires an ensemble")
 
     if spec is not None and config.iterations:
         j = spec.var_dist.max_degree
         k = spec.check_dist.max_degree
-        if _spec_is_regular(spec) and j < 3 and config.kind in ("bounds", "figure5"):
+        if _spec_is_regular(spec) and j < 3 and kind in ("bounds", "figure5"):
             report.warnings.append(
                 "closed-form weight bound requires variable degree >= 3; "
                 f"got {j}")
@@ -295,17 +307,15 @@ def validate(config: ExperimentConfig) -> ValidationReport:
 # -- CSV helpers -------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: str, rows: list[list]) -> None:
-    body = header + "\n" + "".join(
+def _write_csv(path: Path, header: str, rows: list[list]) -> dict:
+    """Write one CSV file; returns its manifest entry (digest and size)."""
+    body = (header + "\n" + "".join(
         ",".join(fmt_number(cell) if not isinstance(cell, str) else cell
                  for cell in row) + "\n"
         for row in rows
-    )
-    path.write_text(body, encoding="ascii", newline="")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    )).encode("ascii")
+    path.write_bytes(body)
+    return {"sha256": hashlib.sha256(body).hexdigest(), "bytes": len(body)}
 
 
 def _safe_gamma(p) -> float | None:
@@ -317,206 +327,124 @@ def _safe_gamma(p) -> float | None:
 # -- experiment kinds ---------------------------------------------------------
 
 
-def _build_code_graph(config: ExperimentConfig, spec: EnsembleSpec | None
-                      ) -> TannerGraph | EnsembleSpec:
-    if config.alist is not None:
-        return load_alist(config.alist)
-    if spec is None:
-        raise ConfigError("simulation needs an ensemble or an alist")
-    if config.code == "ensemble":
-        return spec
-    if config.code == "peg":
-        var_degrees, _ = realize_degree_sequences(spec)
-        return peg_construct(spec.n_vars, np.sort(var_degrees), spec.n_checks)
-    raise ConfigError(f"unknown code construction {config.code!r}")
+def _lower_bounds(config: ExperimentConfig, spec: EnsembleSpec,
+                  channel: ChannelModel, iterations: list[int]) -> list:
+    """Lower-bound point at each l: closed form if regular, recursion otherwise."""
+    if _spec_is_regular(spec):
+        j, k = spec.var_dist.max_degree, spec.check_dist.max_degree
+        return [closed_form_lower(channel, RegularParams(
+                    j=j, k=k, n_vars=spec.n_vars, iterations=l, theta1=config.theta1))
+                for l in iterations]
+    return [irregular_lower_bound(channel, spec.var_dist, spec.check_dist,
+                                  spec.n_vars, l, config.theta1)
+            for l in iterations]
 
 
-def _bounds_rows(config: ExperimentConfig, spec: EnsembleSpec,
-                 channel: ChannelModel, notes: dict) -> list[list]:
-    regular = _spec_is_regular(spec)
-    rows = []
-    j = spec.var_dist.max_degree
-    if regular and j < 3:
-        raise ConfigError("closed-form weight bound requires variable degree >= 3")
-    for l in config.iterations:
-        if regular:
-            point = closed_form_lower(channel, RegularParams(
-                j=j, k=spec.check_dist.max_degree, n_vars=spec.n_vars,
-                iterations=l, theta1=config.theta1))
-        else:
-            point = irregular_lower_bound(channel, spec.var_dist, spec.check_dist,
-                                          spec.n_vars, l, config.theta1)
-        upper = None
-        if config.a0 is not None and j >= 3:
-            upper = lentmaier_upper(j, l, config.a0)
-            notes["upper_bound_label"] = "form-only upper bound (a0 supplied)"
-        rows.append([point.iterations, point.regime, point.weight, point.p_lower,
-                     point.gamma_lower, upper, point.p_lower_relaxed])
-    return rows
-
-
-def _de_trace(config: ExperimentConfig, spec: EnsembleSpec, channel: ChannelModel):
+def _de_trace(config: ExperimentConfig, spec: EnsembleSpec, channel: ChannelModel,
+              notes: dict):
     l_max = max(config.iterations)
     if isinstance(channel, Bec):
-        trace = de_bec(spec.var_dist, spec.check_dist, channel.epsilon, l_max)
-        label = "DE (exact, BEC)"
-    elif isinstance(channel, Biawgn):
-        trace = ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
-        label = "DE (Gaussian approx., AWGN)"
+        notes["de_label"] = "DE (exact, BEC)"
+        return de_bec(spec.var_dist, spec.check_dist, channel.epsilon, l_max)
+    if isinstance(channel, Biawgn):
+        notes["de_label"] = "DE (Gaussian approx., AWGN)"
+        return ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
+    raise ConfigError("density evolution curves cover BEC and BI-AWGN only")
+
+
+def _simulated_rows(config: ExperimentConfig, spec: EnsembleSpec | None,
+                    channel: ChannelModel, iterations: list[int]) -> list[list]:
+    """BER rows from one Monte Carlo sweep over the configured code."""
+    if config.alist is not None:
+        code = load_alist(config.alist)
+    elif config.code == "ensemble":
+        code = spec
     else:
-        raise ConfigError("density evolution curves cover BEC and BI-AWGN only")
-    return trace, label
+        var_degrees, _ = realize_degree_sequences(spec)
+        code = peg_construct(spec.n_vars, np.sort(var_degrees), spec.n_checks)
+    ests = estimate_ber_curve(code, channel, iterations, config.trials, config.seed,
+                              threads=config.threads,
+                              trials_per_block=config.trials_per_block)
+    return [[l, est.ber, est.std_error, est.n_trials, est.n_bits]
+            for l, est in zip(iterations, ests)]
 
 
-def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Execute one experiment; returns the manifest dict (also written to disk).
-
-    Raises ConfigError for invalid configs and propagates CapacityError
-    from the oracle.
-    """
-    report = validate(config)
-    if not report.ok:
-        raise ConfigError("; ".join(report.errors))
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    started = datetime.now(timezone.utc).isoformat()
-    notes: dict = {}
-    files: dict[str, Path] = {}
-
-    spec = build_spec(config) if config.ensemble is not None else None
-    channel = None
-    if config.channel is not None:
-        channel, ch_notes = build_channel(config, spec)
-        notes.update(ch_notes)
-
-    kind = config.kind
-    if kind == "bounds":
-        rows = _bounds_rows(config, spec, channel, notes)
-        files["bounds.csv"] = out / "bounds.csv"
-        _write_csv(files["bounds.csv"], CSV_HEADERS["bounds"], rows)
-
-    elif kind == "de":
-        trace, label = _de_trace(config, spec, channel)
-        notes["de_label"] = label
-        rows = [[t, trace.message_error[t], trace.ber[t]]
-                for t in range(trace.ber.size)]
-        files["de.csv"] = out / "de.csv"
-        _write_csv(files["de.csv"], CSV_HEADERS["de"], rows)
-
-    elif kind == "simulate":
-        code = _build_code_graph(config, spec)
-        ests = estimate_ber_curve(code, channel, config.iterations, config.trials,
-                                  config.seed, threads=config.threads,
-                                  trials_per_block=config.trials_per_block)
-        rows = [[l, est.ber, est.std_error, est.n_trials, est.n_bits]
-                for l, est in zip(config.iterations, ests)]
-        files["simulate.csv"] = out / "simulate.csv"
-        _write_csv(files["simulate.csv"], CSV_HEADERS["simulate"], rows)
-
-    elif kind == "recursion":
-        l_max = max(config.iterations)
-        trace = weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
-                                 l_max, config.theta1)
-        rows = [[t, trace.p_tilde_even[t - 1], trace.p_tilde_odd[t - 1],
-                 trace.p_survival[t - 1]]
-                for t in range(1, l_max + 1)]
-        files["recursion.csv"] = out / "recursion.csv"
-        _write_csv(files["recursion.csv"], CSV_HEADERS["recursion"], rows)
-        notes["w_ub"] = trace.w_ub
-        notes["l1"] = trace.l1
-        notes["branch"] = trace.branch
-
-    elif kind == "tail":
-        tail = tail_distribution(spec.var_dist, spec.check_dist, spec.n_vars,
-                                 config.d_max)
-        rows = [[d, tail.survival[d], tail.survival_including_root[d]]
-                for d in range(config.d_max + 1)]
-        files["tail.csv"] = out / "tail.csv"
-        _write_csv(files["tail.csv"], CSV_HEADERS["tail"], rows)
-        notes["conventions"] = {
-            "tail_recursion": "conditioned on the two nodes being distinct",
-            "tail_recursion_incl_root": "unconditioned second draw (may equal the first)",
-        }
-
-    elif kind == "figure6":
-        tail = tail_distribution(spec.var_dist, spec.check_dist, spec.n_vars,
-                                 config.d_max)
-        emp = empirical_tail(spec, config.d_max, config.n_instances,
-                             config.pairs_per_instance, config.seed)
-        rows = [[d, tail.survival[d], emp.survival[d], emp.std_error[d]]
-                for d in range(config.d_max + 1)]
-        files["figure6.csv"] = out / "figure6.csv"
-        _write_csv(files["figure6.csv"], CSV_HEADERS["figure6"], rows)
-        notes["n_pairs"] = emp.n_pairs
-
-    elif kind == "oracle":
-        l = max(config.iterations) if config.iterations else 1
-        est = expected_min_weight_mc(spec, l, config.n_samples, config.seed)
-        if est.capacity_skipped == est.n_samples:
-            raise CapacityError(
-                f"all {est.n_samples} samples exceeded the free-dimension guard; "
-                "shrink the iteration count or the block length")
-        files["oracle.csv"] = out / "oracle.csv"
-        _write_csv(files["oracle.csv"], CSV_HEADERS["oracle"],
-                   [[est.n_samples, est.mean, est.std_error,
-                     est.infeasible_count, est.capacity_skipped]])
-        files["oracle_weights.csv"] = out / "oracle_weights.csv"
-        _write_csv(files["oracle_weights.csv"], CSV_HEADERS["oracle_weights"],
-                   [[i, int(w)] for i, w in enumerate(est.weights)])
-        notes["iterations"] = l
-
-    elif kind == "figure5":
-        rows_main, rows_sim = _run_figure5(config, spec, channel, notes)
-        files["figure5.csv"] = out / "figure5.csv"
-        _write_csv(files["figure5.csv"], CSV_HEADERS["figure5"], rows_main)
-        files["figure5_sim.csv"] = out / "figure5_sim.csv"
-        _write_csv(files["figure5_sim.csv"], CSV_HEADERS["figure5_sim"], rows_sim)
-
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
-
-    manifest = {
-        "config_hash": config.config_hash(),
-        "tool_version": __version__,
-        "kind": kind,
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": {name: {"sha256": _sha256(path), "bytes": path.stat().st_size}
-                    for name, path in files.items()},
-        "config": config.canonical_dict(),
-        "notes": notes,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return manifest
-
-
-def _run_figure5(config: ExperimentConfig, spec: EnsembleSpec,
-                 channel: ChannelModel, notes: dict):
-    regular = _spec_is_regular(spec)
+def _bounds(config, spec, channel, notes) -> dict:
     j = spec.var_dist.max_degree
-    k = spec.check_dist.max_degree
+    if _spec_is_regular(spec) and j < 3:
+        raise ConfigError("closed-form weight bound requires variable degree >= 3")
+    upper = config.a0 is not None and j >= 3
+    if upper:
+        notes["upper_bound_label"] = "form-only upper bound (a0 supplied)"
+    points = _lower_bounds(config, spec, channel, config.iterations)
+    return {"bounds.csv": [[p.iterations, p.regime, p.weight, p.p_lower, p.gamma_lower,
+                            lentmaier_upper(j, l, config.a0) if upper else None,
+                            p.p_lower_relaxed]
+                           for l, p in zip(config.iterations, points)]}
+
+
+def _de(config, spec, channel, notes) -> dict:
+    trace = _de_trace(config, spec, channel, notes)
+    return {"de.csv": [[t, trace.message_error[t], trace.ber[t]]
+                       for t in range(trace.ber.size)]}
+
+
+def _simulate(config, spec, channel, notes) -> dict:
+    return {"simulate.csv": _simulated_rows(config, spec, channel, config.iterations)}
+
+
+def _recursion(config, spec, channel, notes) -> dict:
+    l_max = max(config.iterations)
+    trace = weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
+                             l_max, config.theta1)
+    notes.update(w_ub=trace.w_ub, l1=trace.l1, branch=trace.branch)
+    return {"recursion.csv": [[t, trace.p_tilde_even[t - 1], trace.p_tilde_odd[t - 1],
+                               trace.p_survival[t - 1]]
+                              for t in range(1, l_max + 1)]}
+
+
+def _tail(config, spec, channel, notes) -> dict:
+    tail = tail_distribution(spec.var_dist, spec.check_dist, spec.n_vars,
+                             config.d_max)
+    notes["conventions"] = {
+        "tail_recursion": "conditioned on the two nodes being distinct",
+        "tail_recursion_incl_root": "unconditioned second draw (may equal the first)",
+    }
+    return {"tail.csv": [[d, tail.survival[d], tail.survival_including_root[d]]
+                         for d in range(config.d_max + 1)]}
+
+
+def _figure6(config, spec, channel, notes) -> dict:
+    tail = tail_distribution(spec.var_dist, spec.check_dist, spec.n_vars,
+                             config.d_max)
+    emp = empirical_tail(spec, config.d_max, config.n_instances,
+                         config.pairs_per_instance, config.seed)
+    notes["n_pairs"] = emp.n_pairs
+    return {"figure6.csv": [[d, tail.survival[d], emp.survival[d], emp.std_error[d]]
+                            for d in range(config.d_max + 1)]}
+
+
+def _oracle(config, spec, channel, notes) -> dict:
+    l = max(config.iterations) if config.iterations else 1
+    est = expected_min_weight_mc(spec, l, config.n_samples, config.seed)
+    if est.capacity_skipped == est.n_samples:
+        raise CapacityError(
+            f"all {est.n_samples} samples exceeded the free-dimension guard; "
+            "shrink the iteration count or the block length")
+    notes["iterations"] = l
+    return {"oracle.csv": [[est.n_samples, est.mean, est.std_error,
+                            est.infeasible_count, est.capacity_skipped]],
+            "oracle_weights.csv": [[i, int(w)] for i, w in enumerate(est.weights)]}
+
+
+def _figure5(config, spec, channel, notes) -> dict:
+    j = spec.var_dist.max_degree
     if j < 3:
         raise ConfigError("gamma-curve bounds require variable max degree >= 3")
     iters = sorted(config.iterations)
-
-    lower = {}
-    for l in iters:
-        if regular:
-            point = closed_form_lower(channel, RegularParams(
-                j=j, k=k, n_vars=spec.n_vars, iterations=l, theta1=config.theta1))
-        else:
-            point = irregular_lower_bound(channel, spec.var_dist, spec.check_dist,
-                                          spec.n_vars, l, config.theta1)
-        lower[l] = point
-
-    trace, label = _de_trace(config, spec, channel)
-    notes["de_label"] = label
-
-    code = _build_code_graph(config, spec)
-    sims = dict(zip(iters, estimate_ber_curve(
-        code, channel, iters, config.trials, config.seed, threads=config.threads,
-        trials_per_block=config.trials_per_block)))
+    lower = _lower_bounds(config, spec, channel, iters)
+    trace = _de_trace(config, spec, channel, notes)
+    sim_rows = _simulated_rows(config, spec, channel, iters)
 
     if config.a0 is not None:
         a0 = config.a0
@@ -531,21 +459,60 @@ def _run_figure5(config: ExperimentConfig, spec: EnsembleSpec,
         notes["upper_bound_label"] = "form-only upper bound (a0 fitted)"
         notes["a0_anchor"] = anchor
     notes["a0"] = a0
-    notes["lentmaier_validity_limit"] = lentmaier_validity_limit(j, k, spec.n_vars)
+    notes["lentmaier_validity_limit"] = lentmaier_validity_limit(
+        j, spec.check_dist.max_degree, spec.n_vars)
 
-    rows_main = []
-    rows_sim = []
-    for l in iters:
-        # Log-space form of gamma(2**(-a0 (j-1)**l)); never underflows.
-        gamma_upper = log2(a0) + l * log2(j - 1)
-        rows_main.append([
-            l,
-            lower[l].gamma_lower,
-            _safe_gamma(float(trace.ber[l])),
-            gamma_upper,
-            _safe_gamma(sims[l].ber),
-            sims[l].std_error,
-        ])
-        rows_sim.append([l, sims[l].ber, sims[l].std_error, sims[l].n_trials,
-                        sims[l].n_bits])
-    return rows_main, rows_sim
+    # gamma_upper is the log-space form of gamma(2**(-a0 (j-1)**l)); never underflows.
+    rows = [[l, point.gamma_lower, _safe_gamma(float(trace.ber[l])),
+             log2(a0) + l * log2(j - 1), _safe_gamma(sim[1]), sim[2]]
+            for l, point, sim in zip(iters, lower, sim_rows)]
+    return {"figure5.csv": rows, "figure5_sim.csv": sim_rows}
+
+
+# kind -> (handler, fields it requires), in the command line's order.  A
+# handler takes (config, spec, channel, notes) once validate() has passed,
+# may add to notes, and returns {file name: rows} for run() to write.
+_KINDS = {
+    "bounds": (_bounds, ("ensemble", "channel", "iterations")),
+    "simulate": (_simulate, ("channel", "iterations", "trials")),
+    "de": (_de, ("ensemble", "channel", "iterations")),
+    "recursion": (_recursion, ("ensemble", "iterations")),
+    "tail": (_tail, ("ensemble", "d_max")),
+    "oracle": (_oracle, ("ensemble", "n_samples")),
+    "figure5": (_figure5, ("ensemble", "channel", "iterations", "trials")),
+    "figure6": (_figure6, ("ensemble", "d_max", "n_instances", "pairs_per_instance")),
+}
+KINDS = tuple(_KINDS)
+
+
+def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
+    """Execute one experiment; returns the manifest dict (also written to disk).
+
+    Raises ConfigError for invalid configs and propagates CapacityError
+    from the oracle.
+    """
+    report = validate(config)
+    if not report.ok:
+        raise ConfigError("; ".join(report.errors))
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    started = datetime.now(timezone.utc).isoformat()
+    spec = build_spec(config) if config.ensemble is not None else None
+    channel, notes = (build_channel(config, spec) if config.channel is not None
+                      else (None, {}))
+    tables = _KINDS[config.kind][0](config, spec, channel, notes)
+    outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)
+               for name, rows in tables.items()}
+    manifest = {
+        "config_hash": config.config_hash(),
+        "tool_version": __version__,
+        "kind": config.kind,
+        "started_at": started,
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "outputs": outputs,
+        "config": config.canonical_dict(),
+        "notes": notes,
+    }
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return manifest

@@ -72,10 +72,6 @@ class RecursionTrace:
     p_survival: np.ndarray
     w_ub: float
 
-    def survival_product(self) -> float:
-        with np.errstate(divide="ignore"):
-            return float(np.exp(np.sum(np.log(self.p_survival))))
-
 
 def _survival_chain(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
                     n_vars: int, steps: int, below: bool

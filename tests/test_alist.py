@@ -80,3 +80,10 @@ def test_truncated_file_rejected(tmp_path):
     path.write_text("2 1\n1 2\n")
     with pytest.raises(AlistParseError):
         load_alist(path)
+
+
+def test_non_ascii_file_rejected(tmp_path):
+    path = tmp_path / "binary.alist"
+    path.write_bytes(b"2 1\n\xff\xfe\n")
+    with pytest.raises(AlistParseError, match="not ASCII"):
+        load_alist(path)

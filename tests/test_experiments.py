@@ -1,11 +1,15 @@
 import json
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, sample_graph, \
     save_alist
-from ldpcbounds.cli import main
+from ldpcbounds.cli import _build_parser, main
 from ldpcbounds.experiments import (CSV_HEADERS, ExperimentConfig, build_channel,
                                     build_spec, run, validate)
 
@@ -22,11 +26,7 @@ def make_config(**kwargs):
 
 
 _REGULAR_34 = {"n_vars": 5400, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}}
-_FIGURE6_ENSEMBLE = {
-    "n_vars": 20000, "perspective": "edge",
-    "var_dist": {"2": 0.38354, "3": 0.04237, "4": 0.57409},
-    "check_dist": {"5": 0.24123, "6": 0.75877},
-}
+_FIGURE6_ENSEMBLE = EDGE_ENSEMBLE | {"n_vars": 20000}
 # Every field set, none at its default; threads and out_dir stay out of the hash.
 _EVERY_FIELD = {
     "kind": "figure5", "seed": 7, "ensemble": REGULAR_ENSEMBLE, "alist": "g.alist",
@@ -314,6 +314,17 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         assert main(["de", "--config", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("contents", [None, b"\xff\xfe{}"],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, contents):
+        path = tmp_path / "config.json"
+        if contents is None:
+            path.mkdir()
+        else:
+            path.write_bytes(contents)
+        assert main(["de", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_capacity_exit_code(self, tmp_path):
         path = self.write_config(tmp_path, {
             "kind": "oracle", "seed": 1,
@@ -327,14 +338,51 @@ class TestCli:
         ("figure5", {"a0_anchor": 3}),
         ("figure5", {"a0_anchor": -1}),
         ("simulate", {"seed": "abc"}),
-    ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed"])
-    def test_bad_config_exit_code(self, tmp_path, kind, changes):
+        ("simulate", {"trials": "10"}),
+        ("simulate", {"trials": -3}),
+        ("simulate", {"trials": 2.5}),
+        ("simulate", {"trials_per_block": 0}),
+        ("simulate", {"threads": "2"}),
+        ("simulate", {"threads": 0}),
+        ("bounds", {"theta1": "x"}),
+        ("bounds", {"theta1": 2.0}),
+        ("bounds", {"a0": "x"}),
+        ("tail", {"d_max": "5"}),
+        ("tail", {"d_max": -1}),
+        ("figure6", {"d_max": 4, "pairs_per_instance": 5, "n_instances": "2"}),
+        ("figure6", {"d_max": 4, "pairs_per_instance": 5, "n_instances": -2}),
+        ("oracle", {"n_samples": "3"}),
+        ("oracle", {"n_samples": -3}),
+        ("oracle", {"n_samples": 2.5}),
+        ("simulate", {"alist": 5}),
+        ("simulate", {"alist": "."}),
+        ("simulate", {"code": "foo"}),
+    ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed",
+            "string-trials", "negative-trials", "float-trials", "zero-trials-per-block",
+            "string-threads", "zero-threads", "string-theta1", "theta1-above-one",
+            "string-a0", "string-d-max", "negative-d-max", "string-n-instances",
+            "negative-n-instances", "string-n-samples", "negative-n-samples",
+            "float-n-samples", "integer-alist", "directory-alist",
+            "unknown-code"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, kind, changes):
         path = self.write_config(tmp_path, {
             "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE,
             "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1, 2],
             "trials": 4, "code": "ensemble", **changes})
         assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "bounds", "de", "recursion", "tail", "figure6", "oracle", "validate"])
+    def test_threads_only_for_monte_carlo_kinds(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tmp_path / "c.json"), "--threads", "2"])
+        assert exc.value.code == 2
+        for kind in ("simulate", "figure5"):
+            args = _build_parser().parse_args(
+                [kind, "--config", "c.json", "--threads", "2"])
+            assert args.threads == 2
 
     def test_seed_override_changes_hash(self, tmp_path):
         path = self.write_config(tmp_path, {
@@ -344,3 +392,41 @@ class TestCli:
                      "--out", str(tmp_path / "o1")]) == 0
         manifest = json.loads((tmp_path / "o1" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 7
+
+
+# One small base config per kind; the fuzz replaces one or two fields.
+FUZZ_BASES = {
+    "bounds": {"ensemble": REGULAR_ENSEMBLE, "channel": {"type": "bec", "epsilon": 0.4},
+               "iterations": [1, 2]},
+    "simulate": {"ensemble": REGULAR_ENSEMBLE, "channel": {"type": "bsc", "q": 0.05},
+                 "iterations": [0, 2], "trials": 4, "code": "ensemble"},
+    "de": {"ensemble": REGULAR_ENSEMBLE, "channel": {"type": "biawgn", "sigma2": 0.8},
+           "iterations": [3]},
+    "recursion": {"ensemble": EDGE_ENSEMBLE | {"n_vars": 100}, "iterations": [3]},
+    "tail": {"ensemble": EDGE_ENSEMBLE | {"n_vars": 100}, "d_max": 4},
+    "oracle": {"ensemble": REGULAR_ENSEMBLE | {"n_vars": 40}, "iterations": [1],
+               "n_samples": 3},
+    "figure5": {"ensemble": REGULAR_ENSEMBLE, "channel": {"type": "bec", "epsilon": 0.5},
+                "iterations": [1, 2], "trials": 4, "code": "peg"},
+    "figure6": {"ensemble": REGULAR_ENSEMBLE, "d_max": 4, "n_instances": 2,
+                "pairs_per_instance": 3},
+}
+_SMALL_INTS = st.integers(-4, 6)
+_SCALARS = st.one_of(st.none(), st.booleans(), _SMALL_INTS, st.floats(width=32),
+                     st.text(max_size=4))
+_FUZZ_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
+_FUZZ_KEYS = st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["typo"])
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(FUZZ_BASES)),
+       changes=st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, min_size=1, max_size=2))
+def test_cli_fuzz_exit_codes(kind, changes):
+    """Any one- or two-field change of a valid config exits 0, 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"kind": kind, "seed": 1, **FUZZ_BASES[kind], **changes}, fh)
+        assert main([kind, "--config", path, "--out", f"{tmp}/out"]) in (0, 2, 3)
