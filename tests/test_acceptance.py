@@ -49,6 +49,12 @@ FIGURE5_DIGESTS = {
     "figure5_sim.csv": "d6e0dad0b02aa27ab8252afb66ebb8f3612cd2d1523ee92aa3283c3b86577a8f",
 }
 
+# SHA-256 of the figure6 CSV at FIGURE6_CONFIG; any speedup of the sampler
+# or the pair-distance search must leave these bytes unchanged.
+FIGURE6_DIGESTS = {
+    "figure6.csv": "f48ed4e55984728c5b1ed09362b5888f5a861bbf05c08c41107990998bcc6219",
+}
+
 
 def report(number, name, violations):
     status = "FAIL" if violations else "PASS"
@@ -130,6 +136,13 @@ def test_criterion_3_bound_curve_sandwich(figure5_outputs):
 def test_figure5_golden_digests(figure5_outputs):
     out, manifest = figure5_outputs
     for name, want in FIGURE5_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+        assert manifest["outputs"][name]["sha256"] == want, name
+
+
+def test_figure6_golden_digests(figure6_outputs):
+    out, manifest = figure6_outputs
+    for name, want in FIGURE6_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
         assert manifest["outputs"][name]["sha256"] == want, name
 
