@@ -17,7 +17,7 @@ Monte Carlo estimator over sampled graph pairs cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import inf, log
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .degrees import DegreeDistribution, EnsembleSpec, edge_perspective
 from .errors import InvalidDistributionError
 from .regular_bounds import (BoundPoint, RegularParams, bound_point_from_weight,
                              closed_form_lower)
-from .tanner import bfs_distances, sample_graph
+from .tanner import distance, sample_graph
 
 BRANCH_BELOW = "below-threshold"
 BRANCH_ABOVE = "above-threshold"
@@ -191,9 +191,8 @@ def empirical_tail(spec: EnsembleSpec, d_max: int, n_instances: int,
             vj = int(rng.integers(spec.n_vars - 1))
             if vj >= vi:
                 vj += 1
-            var_dist_arr, _ = bfs_distances(g, vi, max_depth=d_max, stop_var=vj)
-            d = int(var_dist_arr[vj])
-            if d < 0:
+            d = distance(g, vi, vj, max_depth=d_max)
+            if d == inf:
                 exceed += 1
             else:
                 exceed[:d] += 1

@@ -68,10 +68,11 @@ class TannerGraph:
         # Check-side CSR follows canonical edge order directly.
         self.chk_ptr = _csr_ptr(self.edge_chk, n_checks)
 
-        # Variable-side CSR permutes edge ids into (var, check) order; the
-        # stable sort keeps each variable's edges in canonical check order.
+        # Variable-side CSR permutes edge ids into (var, check) order.  The
+        # (var, check) keys are unique, so any sort of them gives the one
+        # permutation that keeps each variable's edges in check order.
         self.var_ptr = _csr_ptr(self.edge_var, n_vars)
-        self.var_edge = np.argsort(self.edge_var, kind="stable")
+        self.var_edge = np.argsort(self.edge_var * n_checks + self.edge_chk)
 
         # Sentinel-padded tables for `_bfs_levels`.
         self.var_adj = _pad_rows(self.var_ptr, self.edge_chk[self.var_edge], self.n_checks)
@@ -146,20 +147,25 @@ def _bfs_levels(var_adj: np.ndarray, chk_adj: np.ndarray, root: int,
 
     ``var_adj``/``chk_adj`` are sentinel-padded tables (see the module
     docstring).  ``var_dist``/``chk_dist`` hold one slot per node plus a
-    last slot for the sentinel.  The first step resets them: -1 for every
-    node, the root at 0 and the sentinels marked as seen; each node
-    reached later gets its depth written in place.
+    last slot for the sentinel.  The call itself, before any step, resets
+    them: -1 for every node, the root at 0 and the sentinels marked as
+    seen; each node reached later gets its depth written in place.
 
-    Yields ``(depth, nodes, merged)`` for depths 1..max_depth: the nodes
-    first reached at that depth (checks on odd depths, variables on even
-    ones) in no particular order, and whether some node among them has two
-    or more neighbors on the previous level.  Stops early at an empty
-    level; the caller may stop sooner by leaving its loop.
+    Returns a generator of ``(depth, nodes, merged)`` for depths
+    1..max_depth: the nodes first reached at that depth (checks on odd
+    depths, variables on even ones) in no particular order, and whether
+    some node among them has two or more neighbors on the previous level.
+    It stops early at an empty level; the caller may stop sooner by
+    leaving its loop.
     """
     var_dist.fill(-1)
     chk_dist.fill(-1)
     var_dist[-1] = chk_dist[-1] = 0
     var_dist[root] = 0
+    return _bfs_steps(var_adj, chk_adj, root, var_dist, chk_dist, max_depth)
+
+
+def _bfs_steps(var_adj, chk_adj, root, var_dist, chk_dist, max_depth):
     frontier = np.array([root], dtype=np.int64)
     depth = 0
     while max_depth is None or depth < max_depth:
@@ -182,6 +188,11 @@ def _bfs_levels(var_adj: np.ndarray, chk_adj: np.ndarray, root: int,
         yield depth, frontier, frontier.size < k
 
 
+def _check_var(g: TannerGraph, u: int) -> None:
+    if not 0 <= u < g.n_vars:
+        raise IndexError(f"variable index {u} out of range")
+
+
 def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None,
                   stop_var: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Graph distances from a root variable node, level-synchronous.
@@ -190,8 +201,9 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None,
     reached within ``max_depth``.  When ``stop_var`` is given the search
     exits as soon as that variable has been labeled.
     """
-    if not 0 <= root < g.n_vars:
-        raise IndexError(f"variable index {root} out of range")
+    _check_var(g, root)
+    if stop_var is not None:
+        _check_var(g, stop_var)
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
     for depth, _, _ in _bfs_levels(g.var_adj, g.chk_adj, root, var_dist, chk_dist,
@@ -206,12 +218,36 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
 
     Always an even integer (bipartite parity) or ``math.inf`` when the
     nodes are disconnected or farther than ``max_depth``.
+
+    Bidirectional search: one BFS from each end, advancing by one level
+    the side whose last ring is smaller, and looking each new ring up in
+    the other side's labels.  While no node carries both labels, the
+    distance exceeds the sum of the two depths.  So when a new ring meets
+    the other side, the new depth sum is the distance (a path of that
+    length runs through the meeting node), and a search whose depth sum
+    reaches ``max_depth`` without a meeting can stop.
     """
+    _check_var(g, vi)
+    _check_var(g, vj)
     if vi == vj:
         return 0
-    var_dist, _ = bfs_distances(g, vi, max_depth=max_depth, stop_var=vj)
-    d = int(var_dist[vj])
-    return d if d >= 0 else inf
+    labels, levels = [], []
+    for root in (vi, vj):
+        var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
+        chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
+        labels.append((var_dist, chk_dist))
+        levels.append(_bfs_levels(g.var_adj, g.chk_adj, root, var_dist, chk_dist))
+    depth, width = [0, 0], [1, 1]
+    while max_depth is None or depth[0] + depth[1] < max_depth:
+        side = 0 if width[0] <= width[1] else 1
+        step = next(levels[side], None)
+        if step is None:
+            return inf  # this side's component is exhausted
+        depth[side], ring, _ = step
+        width[side] = ring.size
+        if labels[1 - side][depth[side] % 2].take(ring).max() >= 0:
+            return depth[0] + depth[1]
+    return inf
 
 
 def variable_distances(g: TannerGraph, v: int, max_depth: int | None = None) -> np.ndarray:
@@ -259,8 +295,7 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
     Nodes at distance exactly k are included.  The view is tree-like iff
     the induced edge count equals the induced node count minus one.
     """
-    if not 0 <= v < g.n_vars:
-        raise IndexError(f"variable index {v} out of range")
+    _check_var(g, v)
     if k < 0:
         raise ValueError("depth must be >= 0")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=k)
@@ -289,20 +324,28 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     Each attempt draws a fresh uniform socket matching; matchings with
     parallel edges are rejected wholesale, which keeps the accepted graph
     uniform over simple configurations.
+
+    A parallel edge joins two sockets of one variable, and those sit
+    fewer than the largest variable degree apart in the sorted socket
+    list, so each attempt compares the matched checks at those offsets
+    only, in O(E * max degree) and without a sort.
     """
     var_degrees, check_degrees = realize_degree_sequences(spec)
     n, m = spec.n_vars, spec.n_checks
     var_sockets = np.repeat(np.arange(n, dtype=np.int64), var_degrees)
     chk_sockets = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
     n_edges = var_sockets.size
+    same_var = [var_sockets[:-k] == var_sockets[k:]
+                for k in range(1, int(var_degrees.max(initial=0)))]
     rng = as_generator(seed)
     for attempt in range(1, max_attempts + 1):
-        matched = chk_sockets[rng.permutation(n_edges)]
-        key = var_sockets * m + matched
-        key.sort()
-        if n_edges == 0 or not np.any(np.diff(key) == 0):
-            edges = np.column_stack([key // m, key % m])
-            return TannerGraph(n, m, edges), attempt
+        # Shuffling a copy makes the same swaps as permuting an arange, so
+        # this is ``chk_sockets[rng.permutation(n_edges)]`` without the gather.
+        matched = chk_sockets.copy()
+        rng.shuffle(matched)
+        if not any(np.any((matched[:-k] == matched[k:]) & same)
+                   for k, same in enumerate(same_var, 1)):
+            return TannerGraph(n, m, np.column_stack([var_sockets, matched])), attempt
     raise SamplingFailureError(
         f"no simple configuration found in {max_attempts} attempts", attempts=max_attempts
     )
@@ -358,15 +401,14 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     max_var_deg = int(degrees.max()) if degrees.size else 0
     var_adj = np.full((n_vars + 1, max(max_var_deg, 1)), n_checks, dtype=np.int64)
     var_fill = np.zeros(n_vars, dtype=np.int64)
-    chk_cap = max(8, int(np.ceil(degrees.sum() / n_checks)) + 4)
-    chk_adj = np.full((n_checks + 1, chk_cap), n_vars, dtype=np.int64)
+    cap = int(np.ceil(degrees.sum() / n_checks)) if degrees.sum() else 1
+    n_open = n_checks  # checks below the ceiling
+    # As wide as the ceiling; grows only where the ceiling is waived.
+    chk_adj = np.full((n_checks + 1, cap), n_vars, dtype=np.int64)
     chk_deg = np.zeros(n_checks, dtype=np.int64)
     chk_ids = np.arange(n_checks, dtype=np.int64)
     var_dist = np.empty(n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(n_checks + 1, dtype=np.int64)
-
-    cap = int(np.ceil(degrees.sum() / n_checks)) if degrees.sum() else 1
-    n_open = n_checks  # checks below the ceiling
 
     def pick(candidates: np.ndarray) -> int:
         sub = chk_deg[candidates]

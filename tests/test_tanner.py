@@ -1,6 +1,8 @@
 import hashlib
 import math
 from collections import deque
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
-                        InvalidSpecError, TannerGraph, distance, girth,
-                        neighborhood, peg_construct, sample_graph,
-                        sample_graph_with_attempts, variable_distances)
+                        InvalidSpecError, SamplingFailureError, TannerGraph,
+                        distance, girth, neighborhood, peg_construct,
+                        sample_graph, sample_graph_with_attempts,
+                        variable_distances)
+from ldpcbounds._util import as_generator
+from ldpcbounds.degrees import realize_degree_sequences
 from ldpcbounds.tanner import bfs_distances
 
 
@@ -63,6 +68,22 @@ def reference_bfs(g, root, max_depth=None, stop_var=None):
     return var_dist, chk_dist
 
 
+def reference_sample(var_degrees, check_degrees, seed, max_attempts):
+    """Rejection sampler that finds parallel edges by sorting the (var, check) keys."""
+    n, m = len(var_degrees), len(check_degrees)
+    var_sockets = np.repeat(np.arange(n, dtype=np.int64), var_degrees)
+    chk_sockets = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
+    n_edges = var_sockets.size
+    rng = as_generator(seed)
+    for attempt in range(1, max_attempts + 1):
+        matched = chk_sockets[rng.permutation(n_edges)]
+        key = var_sockets * m + matched
+        key.sort()
+        if n_edges == 0 or not np.any(np.diff(key) == 0):
+            return TannerGraph(n, m, np.column_stack([key // m, key % m])), attempt
+    raise SamplingFailureError("no simple configuration", attempts=max_attempts)
+
+
 def reference_peg(n_vars, var_degrees, n_checks):
     """Edge list of the PEG rule in `peg_construct`'s docstring, by plain BFS."""
     if any(d < 0 or d > n_checks for d in var_degrees):
@@ -109,6 +130,17 @@ def small_graphs(draw):
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
                          max_size=n * m))
     return TannerGraph(n, m, sorted(edges))
+
+
+@st.composite
+def degree_sequences(draw):
+    """(var_degrees, check_degrees) with equal sums; degree 0 and 1 included."""
+    pool = draw(st.sampled_from([[0, 1, 2, 3], [1, 2], [2, 3, 12], [0, 3, 4, 5]]))
+    var = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    total = sum(var)
+    m = draw(st.integers(1, 16))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m - 1, max_size=m - 1)))
+    return var, np.diff([0, *cuts, total]).tolist()
 
 
 @st.composite
@@ -202,6 +234,38 @@ class TestSampling:
         assert set(np.unique(g.check_degrees)) <= {4, 5}
         assert g.var_degrees.sum() == g.check_degrees.sum() == g.n_edges
 
+    @settings(max_examples=200, deadline=None)
+    @given(degree_sequences(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_matches_sort_based_sampler(self, degrees, seed, max_attempts):
+        var, chk = degrees
+        spec = SimpleNamespace(n_vars=len(var), n_checks=len(chk))
+        try:
+            want = reference_sample(var, chk, seed, max_attempts)
+        except SamplingFailureError as exc:
+            want = exc.attempts
+        with mock.patch("ldpcbounds.tanner.realize_degree_sequences",
+                        return_value=(np.array(var), np.array(chk))):
+            try:
+                got = sample_graph_with_attempts(spec, seed, max_attempts)
+            except SamplingFailureError as exc:
+                got = exc.attempts
+        assert got == want
+
+    @pytest.mark.parametrize("var_dist, check_dist, n_vars", [
+        ({3: 1.0}, {4: 1.0}, 900),
+        ({2: 0.7, 3: 0.25, 12: 0.05}, {3: 0.5, 4: 0.5}, 280),
+        ({2: 0.6, 3: 0.1, 4: 0.3}, {5: 0.4, 6: 0.6}, 2000),
+    ])
+    def test_ensembles_match_sort_based_sampler(self, var_dist, check_dist, n_vars):
+        spec = EnsembleSpec(n_vars, DegreeDistribution("node", var_dist),
+                            DegreeDistribution("node", check_dist))
+        var, chk = realize_degree_sequences(spec)
+        for seed in range(3):
+            got_graph, got_attempts = sample_graph_with_attempts(spec, seed)
+            want_graph, want_attempts = reference_sample(var, chk, seed, 10_000)
+            assert got_attempts == want_attempts
+            assert got_graph == want_graph
+
 
 class TestDistances:
     def test_same_node(self, tree_graph):
@@ -253,6 +317,40 @@ class TestDistances:
         for root in (-1, tree_graph.n_vars):
             with pytest.raises(IndexError):
                 bfs_distances(tree_graph, root)
+
+    def test_rejects_other_variables_out_of_range(self, tree_graph):
+        for u in (-1, tree_graph.n_vars):
+            with pytest.raises(IndexError, match=f"variable index {u} out of range"):
+                bfs_distances(tree_graph, 0, stop_var=u)
+            with pytest.raises(IndexError, match=f"variable index {u} out of range"):
+                distance(tree_graph, 0, u)
+            with pytest.raises(IndexError, match=f"variable index {u} out of range"):
+                distance(tree_graph, u, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_distance_matches_reference(self, g, data):
+        vi = data.draw(st.integers(-1, g.n_vars))
+        vj = data.draw(st.one_of(st.just(vi), st.integers(-1, g.n_vars)))
+        max_depth = data.draw(st.one_of(st.none(), st.integers(0, 8)))
+        if not (0 <= vi < g.n_vars and 0 <= vj < g.n_vars):
+            with pytest.raises(IndexError, match="out of range"):
+                distance(g, vi, vj, max_depth)
+            return
+        want = reference_distance(g, vi, vj)
+        if max_depth is not None and want > max_depth:
+            want = math.inf
+        assert distance(g, vi, vj, max_depth) == want
+
+    @pytest.mark.parametrize("index", range(len(hand_built_graphs())))
+    def test_distance_matches_reference_on_hand_built_graphs(self, index):
+        g = hand_built_graphs()[index]
+        for vi in range(g.n_vars):
+            for vj in range(g.n_vars):
+                want = reference_distance(g, vi, vj)
+                for max_depth in (None, *range(9)):
+                    cut = want if max_depth is None or want <= max_depth else math.inf
+                    assert distance(g, vi, vj, max_depth) == cut
 
 
 class TestNeighborhood:
