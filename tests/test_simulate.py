@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,19 @@ from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
                         TannerGraph, decode, estimate_ber, estimate_ber_curve,
                         q_function, sample_graph, transmit)
 from ldpcbounds._util import STREAM_GRAPH, STREAM_TRIAL, derived_rng
+from ldpcbounds.experiments import ExperimentConfig, run
 from ldpcbounds.simulate import BerEstimate
 
 SPEC_60 = EnsembleSpec(60, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+
+# SHA-256 of simulate.csv for a small (3,4) ensemble decoded by float BP;
+# any change to the BP kernels or the harness must leave these bytes unchanged.
+FLOAT_BP_DIGESTS = {
+    "bsc": ({"type": "bsc", "q": 0.12},
+            "5885f5e4e449290180deb54bf38f6765595485f4ea29c40e926029f31512d793"),
+    "awgn": ({"type": "biawgn", "sigma2": 1.2},
+             "bf48e5ca810fb1e0a0274ae3fd7bcfea3448c2fbc8f78d424cf59d8b77b2cd14"),
+}
 
 
 def reference_estimate(code, channel, iterations, n_trials, seed, trials_per_block):
@@ -100,3 +112,16 @@ class TestEstimateBerCurve:
             estimate_ber_curve(small_graph, Bec(0.3), [2, -1], 5, seed=1)
         with pytest.raises(ValueError):
             estimate_ber_curve(small_graph, Bec(0.3), [], 5, seed=1)
+
+
+@pytest.mark.parametrize("channel, digest", FLOAT_BP_DIGESTS.values(),
+                         ids=FLOAT_BP_DIGESTS.keys())
+def test_float_bp_golden_digest(tmp_path, channel, digest):
+    config = ExperimentConfig.from_dict({
+        "kind": "simulate", "seed": 20261018,
+        "ensemble": {"n_vars": 600, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}},
+        "channel": channel, "iterations": [0, 1, 3, 6], "trials": 40,
+        "code": "ensemble"})
+    manifest = run(config, tmp_path)
+    assert hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest() == digest
+    assert manifest["outputs"]["simulate.csv"]["sha256"] == digest
