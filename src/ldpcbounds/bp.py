@@ -5,17 +5,17 @@ previous check-to-variable messages, then every check-to-variable
 message from those fresh variable-to-check messages.  Marginals after l
 iterations combine the channel LLR with the iteration-l check messages.
 
-``decode`` runs the float tanh rule on any LLR vector and is the
-reference path.  Infinite LLRs (erasure-channel certainties) are handled
-symbolically: sums cancel opposite infinities in pairs, and the
-tanh-product rule only emits an infinite message when every extrinsic
-input is infinite.  Finite messages are clamped to +/-50 going into
-tanh/atanh so nothing overflows while erasure decoding stays exact.
+``decode`` runs the float tanh rule and is the decoder for the BSC and
+BI-AWGN.  It takes finite LLRs only.  Check messages are capped at
++/-50, so every message and marginal stays finite; a check with no
+other input sends +50, as any other certain check does.
 
 On the erasure channel every message is either erased or certainly
 right, so the same flooding schedule reduces to erasure counting
 (Luby et al., IEEE Trans. IT 47(2), 2001): ``bec_unresolved`` runs it on
 a block of trials at once with small integer counts instead of floats.
+The BEC's infinite LLRs go only there, as the erasure pattern
+``llr == 0``.
 """
 
 from __future__ import annotations
@@ -34,98 +34,50 @@ def _scatter(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(index, weights=values, minlength=size).astype(np.float64, copy=False)
 
 
+def bp_marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
+    """Posterior LLR per variable: channel LLR plus all incoming check messages."""
+    return _scatter(c2v, g.edge_var, g.n_vars) + llr
+
+
 def v2c_update(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-    """Variable-to-check messages: channel LLR plus extrinsic check messages.
-
-    Opposite infinities cancel pairwise; any surplus of one sign makes
-    the outgoing message infinite with that sign.
-    """
-    ev = g.edge_var
-    pos = c2v == np.inf
-    neg = c2v == -np.inf
-    finite = np.isfinite(c2v)
-    fin_per_var = _scatter(np.where(finite, c2v, 0.0), ev, g.n_vars)
-    pos_per_var = _scatter(pos.astype(np.float64), ev, g.n_vars)
-    neg_per_var = _scatter(neg.astype(np.float64), ev, g.n_vars)
-    fin_per_var += np.where(np.isfinite(llr), llr, 0.0)
-    pos_per_var += llr == np.inf
-    neg_per_var += llr == -np.inf
-
-    e_fin = fin_per_var[ev] - np.where(finite, c2v, 0.0)
-    net_inf = (pos_per_var[ev] - pos) - (neg_per_var[ev] - neg)
-    return np.where(net_inf > 0, np.inf, np.where(net_inf < 0, -np.inf, e_fin))
+    """Variable-to-check messages: channel LLR plus extrinsic check messages."""
+    return bp_marginals(g, llr, c2v)[g.edge_var] - c2v
 
 
 def c2v_update(g: TannerGraph, v2c: np.ndarray) -> np.ndarray:
     """Check-to-variable messages: extrinsic tanh-half product rule.
 
-    Any zero extrinsic input forces a zero output; an all-infinite
-    extrinsic set yields an infinite output with the product sign; every
-    other case is 2*atanh of the product of tanh(|m|/2), capped at the
-    finite clamp.
+    Any zero extrinsic input forces a zero output; every other case is
+    2*atanh of the product of tanh(|m|/2), capped at the clamp.  An input
+    counts as zero when tanh(|m|/2) is, which also catches the smallest
+    subnormals.
     """
     ec = g.edge_chk
-    zero = v2c == 0.0
     negative = v2c < 0.0
-    infinite = np.isinf(v2c)
-    mag = np.clip(np.abs(v2c), 0.0, LLR_CLAMP)
-    with np.errstate(divide="ignore"):
-        log_t = np.log(np.tanh(mag / 2.0))
-    log_t = np.where(zero, 0.0, log_t)
+    t = np.tanh(np.minimum(np.abs(v2c), LLR_CLAMP) / 2.0)
+    zero = t == 0.0
+    log_t = np.log(np.where(zero, 1.0, t))
 
     zero_per_chk = _scatter(zero.astype(np.float64), ec, g.n_checks)
     neg_per_chk = _scatter(negative.astype(np.float64), ec, g.n_checks)
-    fin_per_chk = _scatter((~infinite).astype(np.float64), ec, g.n_checks)
     log_per_chk = _scatter(log_t, ec, g.n_checks)
 
     e_zero = zero_per_chk[ec] - zero
     e_neg = (neg_per_chk[ec] - negative).astype(np.int64)
-    e_fin = fin_per_chk[ec] - (~infinite)
     e_log = log_per_chk[ec] - log_t
 
     sign = np.where(e_neg % 2 == 0, 1.0, -1.0)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore"):  # arctanh(1) is inf before the cap
         product = np.minimum(np.exp(e_log), 1.0)
         magnitude = np.minimum(2.0 * np.arctanh(product), LLR_CLAMP)
     out = sign * magnitude
-    out[e_fin == 0] = (sign * np.inf)[e_fin == 0]
     out[e_zero > 0] = 0.0
     return out
 
 
-def bp_marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-    """Posterior LLR per variable: channel LLR plus all incoming check messages."""
-    ev = g.edge_var
-    pos = c2v == np.inf
-    neg = c2v == -np.inf
-    finite = np.isfinite(c2v)
-    fin = _scatter(np.where(finite, c2v, 0.0), ev, g.n_vars)
-    fin += np.where(np.isfinite(llr), llr, 0.0)
-    net = _scatter(pos.astype(np.float64), ev, g.n_vars) + (llr == np.inf)
-    net -= _scatter(neg.astype(np.float64), ev, g.n_vars) + (llr == -np.inf)
-    return np.where(net > 0, np.inf, np.where(net < 0, -np.inf, fin))
-
-
-@dataclass
-class BpState:
-    """Per-edge message arrays after ``iteration`` full flooding iterations."""
-
-    v2c: np.ndarray
-    c2v: np.ndarray
-    iteration: int
-
-
-def initial_state(g: TannerGraph) -> BpState:
-    return BpState(
-        v2c=np.zeros(g.n_edges), c2v=np.zeros(g.n_edges), iteration=0
-    )
-
-
-def bp_step(g: TannerGraph, llr: np.ndarray, state: BpState) -> BpState:
-    """Run one full flooding iteration."""
-    v2c = v2c_update(g, llr, state.c2v)
-    c2v = c2v_update(g, v2c)
-    return BpState(v2c=v2c, c2v=c2v, iteration=state.iteration + 1)
+def bp_step(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
+    """Run one full flooding iteration; returns the new check-to-variable messages."""
+    return c2v_update(g, v2c_update(g, llr, c2v))
 
 
 @dataclass
@@ -138,18 +90,21 @@ def decode(g: TannerGraph, llr, iterations: int) -> DecodeResult:
     """Hard decisions and marginals after a fixed number of iterations.
 
     The iteration count is fixed; there is no early syndrome stop.  Zero
-    marginals (unresolved erasures) decide to bit 0; error accounting
-    for those ties lives with the Monte Carlo harness.
+    marginals (exact ties) decide to bit 0; error accounting for those
+    ties lives with the Monte Carlo harness.  Non-finite LLRs raise
+    ``ValueError``; erasure-channel outputs go to ``bec_unresolved``.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (g.n_vars,):
         raise ValueError(f"llr must have length {g.n_vars}")
-    state = initial_state(g)
+    if not np.isfinite(llr).all():
+        raise ValueError("llr must be finite; decode erasures with bec_unresolved")
+    c2v = np.zeros(g.n_edges)
     for _ in range(iterations):
-        state = bp_step(g, llr, state)
-    marginals = bp_marginals(g, llr, state.c2v)
+        c2v = bp_step(g, llr, c2v)
+    marginals = bp_marginals(g, llr, c2v)
     hard = (marginals < 0).astype(np.uint8)
     return DecodeResult(hard_bits=hard, marginals=marginals)
 
@@ -159,9 +114,8 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
 
     ``erased`` is a ``(trials, n_vars)`` bool block of channel erasures,
     one row per trial.  Each yielded ``(trials, n_vars)`` bool mask marks
-    the bits whose marginal is still zero, bit for bit the same as
-    ``decode(g, llr, l).marginals == 0`` for ``llr`` 0 on erasures and
-    +/-inf elsewhere; every other bit is decoded correctly.
+    the bits whose marginal is still erased after that many iterations
+    of flooding erasure BP; every other bit is decoded correctly.
 
     On the BEC a message is either erased or certainly right.  A
     check-to-variable message is known iff every other input of the

@@ -2,9 +2,9 @@
 
 The log-likelihood ratio of a received symbol y is ln p(y|0)/p(y|1).
 Erasure-channel outputs are exactly 0 (erased) or +/-inf (known bit).
-``bp.decode`` treats those infinities symbolically; the Monte Carlo
-harness reads only the erasure pattern (``llr == 0``) and counts
-erasures with ``bp.bec_unresolved``.
+Float BP (``bp.decode``) takes finite LLRs only and rejects those
+infinities; the erasure pattern ``llr == 0`` goes to
+``bp.bec_unresolved``, as the Monte Carlo harness does.
 """
 
 from __future__ import annotations

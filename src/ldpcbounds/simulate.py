@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import STREAM_GRAPH, STREAM_TRIAL, derived_rng
-from .bp import bec_unresolved, bp_marginals, bp_step, initial_state
+from .bp import bec_unresolved, bp_marginals, bp_step
 from .channels import Bec, ChannelModel, transmit
 from .degrees import EnsembleSpec
 from .tanner import TannerGraph, sample_graph
@@ -70,12 +70,14 @@ def _bp_trial_units(graph: TannerGraph, channel: ChannelModel, seed: int,
                     trial: int, levels: list[int]) -> list[int]:
     """Half-error units of one trial at each of the sorted ``levels``."""
     llr = _trial_llr(graph, channel, seed, trial)
-    state = initial_state(graph)
+    c2v = np.zeros(graph.n_edges)
+    done = 0
     units = []
     for l in levels:
-        while state.iteration < l:
-            state = bp_step(graph, llr, state)
-        marginals = bp_marginals(graph, llr, state.c2v)
+        for _ in range(l - done):
+            c2v = bp_step(graph, llr, c2v)
+        done = l
+        marginals = bp_marginals(graph, llr, c2v)
         wrong = int(np.count_nonzero(marginals < 0))
         ties = int(np.count_nonzero(marginals == 0))
         units.append(2 * wrong + ties)
@@ -140,6 +142,8 @@ def estimate_ber_curve(code, channel: ChannelModel, iterations, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if trials_per_block < 1:
+        raise ValueError("trials_per_block must be >= 1")
     iterations = [int(l) for l in iterations]
     if not iterations:
         raise ValueError("iterations must not be empty")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import erasure_bp_reference
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
                         TannerGraph, decode, estimate_ber, estimate_ber_curve,
                         q_function, sample_graph, transmit)
@@ -23,7 +24,8 @@ FLOAT_BP_DIGESTS = {
 
 
 def reference_estimate(code, channel, iterations, n_trials, seed, trials_per_block):
-    """One float-BP decode per trial at this iteration count alone."""
+    """One decode per trial at this iteration count alone: float BP, or on
+    the BEC the erasure BP reference with one half error per erased bit."""
     units = np.zeros(n_trials, dtype=np.int64)
     for b, lo in enumerate(range(0, n_trials, trials_per_block)):
         graph = code
@@ -32,6 +34,9 @@ def reference_estimate(code, channel, iterations, n_trials, seed, trials_per_blo
         for t in range(lo, min(lo + trials_per_block, n_trials)):
             llr = transmit(np.zeros(graph.n_vars, dtype=np.int8), channel,
                            derived_rng(seed, STREAM_TRIAL, t))
+            if isinstance(channel, Bec):
+                units[t] = erasure_bp_reference(graph, llr == 0, iterations)[-1].sum()
+                continue
             marginals = decode(graph, llr, iterations).marginals
             units[t] = 2 * np.count_nonzero(marginals < 0) + np.count_nonzero(marginals == 0)
     per_trial = units / (2.0 * code.n_vars)
@@ -106,6 +111,12 @@ class TestEstimateBerCurve:
         reference = [reference_estimate(code, channel, l, 24, 11, 7) for l in iterations]
         assert curve == single == reference
         assert curve[0].half_error_units > 0
+
+    @pytest.mark.parametrize("trials_per_block", [0, -3])
+    def test_rejects_bad_trials_per_block(self, small_graph, trials_per_block):
+        with pytest.raises(ValueError, match="trials_per_block"):
+            estimate_ber_curve(small_graph, Bsc(0.06), [1], 5, seed=1,
+                               trials_per_block=trials_per_block)
 
     def test_rejects_bad_iterations(self, small_graph):
         with pytest.raises(ValueError):
