@@ -469,6 +469,13 @@ class TestPeg:
          "3eaf654b21dfbdc4c8aeb0f24ad1bf9071dcd98b6a904458f0b51bb46603f076"),
         (300, [2] * 100 + [3] * 100 + [5] * 100, 200,
          "e12287d6bd5bb8ea19fe3aaf7ade07ec76064a4db7067bffd2202df065580778"),
+        # The figure6 variable degrees realized at N=500 (250 checks).
+        (500, [2] * 275 + [3] * 20 + [4] * 205, 250,
+         "1c9b8abf90fcf228c56387c95130fea3d0a1be8efc060c86b8fcc4a1e9db14da"),
+        # The degree-12 variables meet every check, so one check ends at 32,
+        # above the ceiling of 31.
+        (59, [2] * 21 + [3] * 14 + [12] * 24, 12,
+         "c92ef5d86c5e808ff37f364b436e243707446cc0c4e351ac21e0a7fcc6267f0b"),
     ])
     def test_golden_edges(self, n_vars, var_degrees, n_checks, digest):
         g = peg_construct(n_vars, var_degrees, n_checks)
