@@ -86,6 +86,12 @@ class DecodeResult:
     marginals: np.ndarray
 
 
+def require_finite(llr: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every LLR is finite, as float BP needs."""
+    if not np.isfinite(llr).all():
+        raise ValueError("llr must be finite; decode erasures with bec_unresolved")
+
+
 def decode(g: TannerGraph, llr, iterations: int) -> DecodeResult:
     """Hard decisions and marginals after a fixed number of iterations.
 
@@ -99,8 +105,7 @@ def decode(g: TannerGraph, llr, iterations: int) -> DecodeResult:
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (g.n_vars,):
         raise ValueError(f"llr must have length {g.n_vars}")
-    if not np.isfinite(llr).all():
-        raise ValueError("llr must be finite; decode erasures with bec_unresolved")
+    require_finite(llr)
     c2v = np.zeros(g.n_edges)
     for _ in range(iterations):
         c2v = bp_step(g, llr, c2v)

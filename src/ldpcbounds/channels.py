@@ -37,6 +37,8 @@ class Bsc:
     def __post_init__(self):
         if not 0.0 < self.q < 0.5:
             raise ValueError(f"q {self.q!r} outside (0, 0.5)")
+        if not np.isfinite(np.log((1.0 - self.q) / self.q)):
+            raise ValueError(f"q {self.q!r} too small: its LLR magnitude is not finite")
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class Biawgn:
     def __post_init__(self):
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 {self.sigma2!r} must be positive")
+        if not np.isfinite(2.0 / self.sigma2):
+            raise ValueError(f"sigma2 {self.sigma2!r} too small: its LLR scale is not finite")
 
 
 ChannelModel = Union[Bec, Bsc, Biawgn]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfc
 
 from .channels import Bec, Biawgn, ChannelModel
@@ -79,8 +78,10 @@ def _phi_large(s):
 
 
 # The two approximation regimes cross near s = 6.2; switching exactly at
-# the crossing keeps the stitched function continuous.
-PHI_SPLIT = float(brentq(lambda s: _phi_small(s) - _phi_large(s), 4.0, 8.0))
+# the crossing keeps the stitched function continuous.  The literal is
+# ``brentq(lambda s: _phi_small(s) - _phi_large(s), 4.0, 8.0)``, written
+# out so that importing the package does not import `scipy.optimize`.
+PHI_SPLIT = 6.177975866159115
 
 
 def phi_approx(s: float) -> float:
@@ -104,6 +105,8 @@ def phi_inverse(y: float) -> float:
         return float(((_PHI_B - np.log(y)) / -_PHI_A) ** (1.0 / _PHI_C))
     if y <= phi_approx(_PHI_CAP):
         return _PHI_CAP
+    from scipy.optimize import brentq
+
     return float(brentq(lambda s: _phi_large(s) - y, PHI_SPLIT, _PHI_CAP))
 
 

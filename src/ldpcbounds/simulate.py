@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import STREAM_GRAPH, STREAM_TRIAL, derived_rng
-from .bp import bec_unresolved, bp_marginals, bp_step
+from .bp import bec_unresolved, bp_marginals, bp_step, require_finite
 from .channels import Bec, ChannelModel, transmit
 from .degrees import EnsembleSpec
 from .tanner import TannerGraph, sample_graph
@@ -70,6 +70,7 @@ def _bp_trial_units(graph: TannerGraph, channel: ChannelModel, seed: int,
                     trial: int, levels: list[int]) -> list[int]:
     """Half-error units of one trial at each of the sorted ``levels``."""
     llr = _trial_llr(graph, channel, seed, trial)
+    require_finite(llr)
     c2v = np.zeros(graph.n_edges)
     done = 0
     units = []

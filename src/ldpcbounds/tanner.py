@@ -4,12 +4,15 @@ Graphs are immutable after construction and precompute edge-indexed CSR
 layouts for message passing.  Every breadth-first search in this module
 (distance queries, neighborhoods, girth, and the ring search of the PEG
 construction) runs on one level-synchronous kernel, `_bfs_levels`, over
-sentinel-padded adjacency tables: row u of ``var_adj`` lists the checks
-of variable u padded with the id ``n_checks``, and row c of ``chk_adj``
-lists the variables of check c padded with ``n_vars``.  The label arrays
-carry one extra slot per side for the sentinel, which is always marked
-as seen, so one BFS level is a gather, a seen-filter and a sort-free
-scatter-and-mark dedupe.
+sentinel-padded adjacency tables.  A search is a cycle of steps, each a
+table and the label array of the nodes it reaches.  Searches on a graph
+alternate two steps: row u of ``var_adj`` lists the checks of variable u
+padded with the id ``n_checks``, and row c of ``chk_adj`` lists the
+variables of check c padded with ``n_vars``.  The PEG search takes one
+step, from checks to checks, over a table whose row c lists the checks
+that share a variable with c.  The label arrays carry one extra slot for
+the sentinel, which is always marked as seen, so one BFS level is a
+gather, a seen-filter and a sort-free scatter-and-mark dedupe.
 """
 
 from __future__ import annotations
@@ -140,37 +143,39 @@ def _pad_rows(ptr: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
 # -- the BFS kernel --------------------------------------------------------
 
 
-def _bfs_levels(var_adj: np.ndarray, chk_adj: np.ndarray, root: int,
-                var_dist: np.ndarray, chk_dist: np.ndarray,
-                max_depth: int | None = None):
-    """Level-synchronous BFS from variable ``root``, one level per step.
+def _bfs_levels(steps, start, max_depth: int | None = None):
+    """Level-synchronous BFS from the nodes ``start``, one level per step.
 
-    ``var_adj``/``chk_adj`` are sentinel-padded tables (see the module
-    docstring).  ``var_dist``/``chk_dist`` hold one slot per node plus a
-    last slot for the sentinel.  The call itself, before any step, resets
-    them: -1 for every node, the root at 0 and the sentinels marked as
-    seen; each node reached later gets its depth written in place.
+    ``steps`` is a tuple of ``(adj, dist)`` pairs taken in turn, cycling:
+    level d is the set of rows of ``adj`` gathered from level d-1, for the
+    pair ``steps[(d - 1) % len(steps)]``, and its depths go into that
+    pair's ``dist``.  Each ``adj`` is a sentinel-padded table (see the
+    module docstring) and each ``dist`` holds one slot per node plus a
+    last slot for the sentinel.  The start nodes are of the kind the last
+    step labels, which is the kind the first step leaves from.  The call
+    itself, before any step, resets every ``dist``: -1 for every node,
+    the sentinel marked as seen and the start nodes at 0; each node
+    reached later gets its depth written in place.
 
     Returns a generator of ``(depth, nodes, merged)`` for depths
-    1..max_depth: the nodes first reached at that depth (checks on odd
-    depths, variables on even ones) in no particular order, and whether
-    some node among them has two or more neighbors on the previous level.
-    It stops early at an empty level; the caller may stop sooner by
-    leaving its loop.
+    1..max_depth: the nodes first reached at that depth in no particular
+    order, and whether some node among them has two or more neighbors on
+    the previous level.  It stops early at an empty level; the caller may
+    stop sooner by leaving its loop.
     """
-    var_dist.fill(-1)
-    chk_dist.fill(-1)
-    var_dist[-1] = chk_dist[-1] = 0
-    var_dist[root] = 0
-    return _bfs_steps(var_adj, chk_adj, root, var_dist, chk_dist, max_depth)
+    for _, dist in steps:
+        dist.fill(-1)
+        dist[-1] = 0
+    start = np.asarray(start, dtype=np.int64)
+    steps[-1][1][start] = 0
+    return _bfs_steps(steps, start, max_depth)
 
 
-def _bfs_steps(var_adj, chk_adj, root, var_dist, chk_dist, max_depth):
-    frontier = np.array([root], dtype=np.int64)
+def _bfs_steps(steps, frontier, max_depth):
     depth = 0
     while max_depth is None or depth < max_depth:
+        adj, dist = steps[depth % len(steps)]
         depth += 1
-        adj, dist = (var_adj, chk_dist) if depth % 2 else (chk_adj, var_dist)
         # take/compress: the same gathers as fancy and boolean indexing,
         # with less per-call overhead on the many small levels.
         reached = adj.take(frontier, axis=0).ravel()
@@ -186,6 +191,15 @@ def _bfs_steps(var_adj, chk_adj, root, var_dist, chk_dist, max_depth):
         frontier = reached.compress(dist.take(reached) == slot)
         dist[frontier] = depth
         yield depth, frontier, frontier.size < k
+
+
+def _var_levels(g: TannerGraph, root: int, var_dist: np.ndarray, chk_dist: np.ndarray,
+                max_depth: int | None = None):
+    """`_bfs_levels` over the bipartite graph from variable ``root``.
+
+    Checks come on odd depths and variables on even ones.
+    """
+    return _bfs_levels(((g.var_adj, chk_dist), (g.chk_adj, var_dist)), (root,), max_depth)
 
 
 def _check_var(g: TannerGraph, u: int) -> None:
@@ -206,8 +220,7 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None,
         _check_var(g, stop_var)
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
-    for depth, _, _ in _bfs_levels(g.var_adj, g.chk_adj, root, var_dist, chk_dist,
-                                   max_depth):
+    for depth, _, _ in _var_levels(g, root, var_dist, chk_dist, max_depth):
         if stop_var is not None and depth % 2 == 0 and var_dist[stop_var] >= 0:
             break
     return var_dist[:-1], chk_dist[:-1]
@@ -236,7 +249,7 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
         var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
         chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
         labels.append((var_dist, chk_dist))
-        levels.append(_bfs_levels(g.var_adj, g.chk_adj, root, var_dist, chk_dist))
+        levels.append(_var_levels(g, root, var_dist, chk_dist))
     depth, width = [0, 0], [1, 1]
     while max_depth is None or depth[0] + depth[1] < max_depth:
         side = 0 if width[0] <= width[1] else 1
@@ -379,13 +392,23 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     every non-adjacent check is full the ceiling is waived rather than
     failing the construction.
 
-    The search from a variable stops early at the first check ring, at
-    depth 3 or more, that brings the count of reached checks below the
-    ceiling up to the count of all such checks: that ring is the farthest
-    one holding a candidate, so the pick is the same as after a full
-    search.  When the variable's component runs out first, or every check
-    below the ceiling is adjacent to the variable, or none is left, the
-    search runs to the end and the rule above applies unchanged.
+    The search from a variable runs over checks only: it starts from the
+    variable's checks (graph depth 1) and steps from each check ring to
+    the next through a check-to-check table, one ring per two graph
+    levels.  It stops early at the first check ring, at depth 3 or more,
+    that brings the count of reached checks below the ceiling up to the
+    count of all such checks: that ring is the farthest one holding a
+    candidate, so the pick is the same as after a full search.  When
+    every check below the ceiling is adjacent to the variable, or none is
+    left, the search runs to the end and the rule above applies
+    unchanged.
+
+    When the variable's connected component holds fewer checks below the
+    ceiling than the whole graph, no search is run.  The full search
+    could never reach every such check, so it would run to the end of the
+    component and pick among the unreached ones; those are exactly the
+    checks below the ceiling outside the component, so the pick is made
+    among them directly.
     """
     degrees = np.asarray(var_degrees, dtype=np.int64)
     if degrees.shape != (n_vars,):
@@ -397,17 +420,24 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
             "a variable degree exceeds the number of checks (simple graph impossible)"
         )
 
-    # Growing sentinel-padded tables for `_bfs_levels`.
     max_var_deg = int(degrees.max()) if degrees.size else 0
-    var_adj = np.full((n_vars + 1, max(max_var_deg, 1)), n_checks, dtype=np.int64)
-    var_fill = np.zeros(n_vars, dtype=np.int64)
+    var_adj = np.empty((n_vars, max_var_deg), dtype=np.int64)
     cap = int(np.ceil(degrees.sum() / n_checks)) if degrees.sum() else 1
-    n_open = n_checks  # checks below the ceiling
-    # As wide as the ceiling; grows only where the ceiling is waived.
-    chk_adj = np.full((n_checks + 1, cap), n_vars, dtype=np.int64)
     chk_deg = np.zeros(n_checks, dtype=np.int64)
+    is_open = np.ones(n_checks, dtype=bool)  # below the ceiling
+    n_open = n_checks
+    # Sentinel-padded check-to-check table for `_bfs_levels`: row c lists,
+    # once per shared variable, each check that shares a variable with c.
+    # A check below the ceiling needs at most cap * (max_var_deg - 1)
+    # slots, so the table grows only where the ceiling is waived.
+    cc_adj = np.full((n_checks + 1, max(cap * (max_var_deg - 1), 1)), n_checks,
+                     dtype=np.int64)
+    cc_fill = np.zeros(n_checks, dtype=np.int64)
+    # Connected components of the partial graph: a label per check and
+    # the number of open checks under each label.
+    comp = np.arange(n_checks, dtype=np.int64)
+    comp_open = np.ones(n_checks, dtype=np.int64)
     chk_ids = np.arange(n_checks, dtype=np.int64)
-    var_dist = np.empty(n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(n_checks + 1, dtype=np.int64)
 
     def pick(candidates: np.ndarray) -> int:
@@ -415,45 +445,54 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
         best = np.lexsort((candidates, sub))[0]
         return int(candidates[best])
 
-    def far_check(v: int) -> int:
-        reached_open = 0
-        for depth, ring, _ in _bfs_levels(var_adj, chk_adj, v, var_dist, chk_dist):
-            if depth % 2 == 0:
-                continue
-            ring = ring[chk_deg[ring] < cap]
-            reached_open += ring.size
-            if ring.size and reached_open == n_open and depth >= 3:
-                return pick(ring)
+    def far_check(own: np.ndarray) -> int:
+        root = comp[own[0]]
+        if comp_open[root] < n_open:
+            return pick(chk_ids[is_open & (comp != root)])
+        reached_open = np.count_nonzero(is_open.take(own))
+        for _, ring, _ in _bfs_levels(((cc_adj, chk_dist),), own):
+            ring_open = np.count_nonzero(is_open.take(ring))
+            reached_open += ring_open
+            if ring_open and reached_open == n_open:
+                return pick(ring.compress(is_open.take(ring)))
+        # Every open check is adjacent to the variable, or none is left:
+        # waive the ceiling, keep max distance.  The variable has fewer
+        # checks than its degree, at most n_checks, so the farthest check
+        # is not one of its own.
         dist = chk_dist[:-1]
         unreached = chk_ids[dist < 0]
-        open_unreached = unreached[chk_deg[unreached] < cap]
-        if open_unreached.size:
-            return pick(open_unreached)
-        # Every open check sits next to v (or all are full): waive the
-        # ceiling, keep max distance.
         if unreached.size:
             return pick(unreached)
-        far = int(dist.max())
-        if far <= 1:
-            raise ConstructionError(f"variable {v} is already adjacent to every check")
-        return pick(chk_ids[dist == far])
+        return pick(chk_ids[dist == dist.max()])
 
     order = np.lexsort((np.arange(n_vars), degrees))
     for v in order:
-        for _ in range(int(degrees[v])):
-            c = far_check(int(v)) if var_fill[v] else int(np.argmin(chk_deg))
-            var_adj[v, var_fill[v]] = c
-            var_fill[v] += 1
-            if chk_deg[c] == chk_adj.shape[1]:
-                chk_adj = np.hstack([chk_adj, np.full_like(chk_adj, n_vars)])
-            chk_adj[c, chk_deg[c]] = v
+        for k in range(int(degrees[v])):  # k edges of v so far
+            if k == 0:
+                c = int(np.argmin(chk_deg))
+            else:
+                own = var_adj[v, :k]
+                c = far_check(own)
+                old, new = comp[c], comp[own[0]]
+                if old != new:
+                    comp[comp == old] = new
+                    comp_open[new] += comp_open[old]
+                width = cc_adj.shape[1]
+                if cc_fill[c] + k > width or cc_fill.take(own).max() == width:
+                    cc_adj = np.hstack([cc_adj, np.full_like(cc_adj, n_checks)])
+                cc_adj[own, cc_fill[own]] = c
+                cc_fill[own] += 1
+                cc_adj[c, cc_fill[c]:cc_fill[c] + k] = own
+                cc_fill[c] += k
+            var_adj[v, k] = c
             chk_deg[c] += 1
             if chk_deg[c] == cap:
+                is_open[c] = False
                 n_open -= 1
+                comp_open[comp[c]] -= 1
 
-    filled = var_adj[:-1]
-    edges = np.column_stack([np.repeat(np.arange(n_vars), var_fill),
-                             filled[filled < n_checks]])
+    edges = np.column_stack([np.repeat(np.arange(n_vars), degrees),
+                             var_adj[np.arange(max_var_deg) < degrees[:, None]]])
     return TannerGraph(n_vars, n_checks, edges)
 
 
@@ -474,8 +513,7 @@ def girth(g: TannerGraph, cutoff: int | None = None) -> float:
     for root in range(g.n_vars):
         # Only depths with 2 * depth < best can improve on best.
         max_depth = None if best == inf else best // 2 - 1
-        for depth, _, merged in _bfs_levels(g.var_adj, g.chk_adj, root, var_dist,
-                                            chk_dist, max_depth):
+        for depth, _, merged in _var_levels(g, root, var_dist, chk_dist, max_depth):
             if merged:
                 best = 2 * depth
                 break

@@ -23,6 +23,11 @@ class TestChannelValidation:
         with pytest.raises(ValueError):
             Biawgn(0.0)
 
+    @pytest.mark.parametrize("channel, value", [(Biawgn, 1e-310), (Bsc, 1e-320)])
+    def test_infinite_llr_scale_rejected(self, channel, value):
+        with pytest.raises(ValueError, match="not finite"):
+            channel(value)
+
 
 class TestTransmit:
     def test_bec_no_erasures(self):

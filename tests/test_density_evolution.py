@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+import ldpcbounds
 from ldpcbounds import DegreeDistribution, de_bec, ga_awgn, phi_approx, phi_inverse, \
     q_function
-from ldpcbounds.density_evolution import PHI_SPLIT
+from ldpcbounds.density_evolution import PHI_SPLIT, _phi_large, _phi_small
 
 R3 = DegreeDistribution.regular(3)
 R4 = DegreeDistribution.regular(4)
@@ -72,6 +79,18 @@ class TestGaAwgn:
 
 
 class TestPhi:
+    def test_split_literal_is_the_crossing(self):
+        crossing = brentq(lambda s: _phi_small(s) - _phi_large(s), 4.0, 8.0)
+        assert float(crossing) == PHI_SPLIT
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        code = "import sys, ldpcbounds; print('scipy.optimize' in sys.modules)"
+        # Import the package under test, wherever it was imported from here.
+        env = {**os.environ, "PYTHONPATH": str(Path(ldpcbounds.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
     def test_stitch_continuity(self):
         lo = phi_approx(PHI_SPLIT * (1 - 1e-9))
         hi = phi_approx(PHI_SPLIT * (1 + 1e-9))

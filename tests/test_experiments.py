@@ -357,13 +357,14 @@ class TestCli:
         ("simulate", {"alist": 5}),
         ("simulate", {"alist": "."}),
         ("simulate", {"code": "foo"}),
+        ("simulate", {"channel": {"type": "biawgn", "sigma2": 1e-310}}),
     ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed",
             "string-trials", "negative-trials", "float-trials", "zero-trials-per-block",
             "string-threads", "zero-threads", "string-theta1", "theta1-above-one",
             "string-a0", "string-d-max", "negative-d-max", "string-n-instances",
             "negative-n-instances", "string-n-samples", "negative-n-samples",
             "float-n-samples", "integer-alist", "directory-alist",
-            "unknown-code"])
+            "unknown-code", "subnormal-sigma2"])
     def test_bad_config_exit_code(self, tmp_path, capsys, kind, changes):
         path = self.write_config(tmp_path, {
             "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE,

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestEstimateBerCurve:
         with pytest.raises(ValueError, match="trials_per_block"):
             estimate_ber_curve(small_graph, Bsc(0.06), [1], 5, seed=1,
                                trials_per_block=trials_per_block)
+
+    def test_rejects_non_finite_llr(self, small_graph):
+        llr = np.full(small_graph.n_vars, np.inf)
+        with mock.patch("ldpcbounds.simulate.transmit", return_value=llr):
+            with pytest.raises(ValueError, match="finite"):
+                estimate_ber_curve(small_graph, Bsc(0.06), [1], 3, seed=1)
 
     def test_rejects_bad_iterations(self, small_graph):
         with pytest.raises(ValueError):

@@ -151,6 +151,27 @@ def peg_inputs(draw):
     return m, draw(st.lists(st.integers(0, top), min_size=1, max_size=40))
 
 
+@st.composite
+def large_peg_inputs(draw):
+    """(n_checks, var_degrees) at a scale where most searches stop early and
+    the component shortcut fires many times; irregular pools, degree 0 too."""
+    m = draw(st.integers(20, 80))
+    pool = draw(st.sampled_from([[0, 2, 3, 5], [2, 3, 5], [0, 1, 2, 3, 4], [2, 3]]))
+    return m, draw(st.lists(st.sampled_from(pool), min_size=50, max_size=200))
+
+
+def assert_matches_reference_peg(m, degrees):
+    n = len(degrees)
+    try:
+        want = reference_peg(n, degrees, m)
+    except ConstructionError:
+        with pytest.raises(ConstructionError):
+            peg_construct(n, degrees, m)
+        return
+    got = peg_construct(n, degrees, m)
+    assert [(int(v), int(c)) for v, c in got.edges()] == [(v, c) for c, v in want]
+
+
 def hand_built_graphs():
     return [
         TannerGraph(2, 1, [(0, 0), (1, 0)]),
@@ -439,17 +460,25 @@ class TestPeg:
     @settings(max_examples=200, deadline=None)
     @given(peg_inputs())
     @example((4, [2, 1, 1, 2, 2, 4]))  # the last variable meets the waived ceiling
+    # Some search has full checks beyond the last open one, so it must stop
+    # at the ring that reaches the last open check, counting the
+    # variable's own open checks among those reached.
+    @example((10, [2] * 8 + [3] * 6))
     def test_matches_reference_peg(self, inputs):
-        m, degrees = inputs
-        n = len(degrees)
-        try:
-            want = reference_peg(n, degrees, m)
-        except ConstructionError:
-            with pytest.raises(ConstructionError):
-                peg_construct(n, degrees, m)
-            return
-        got = peg_construct(n, degrees, m)
-        assert [(int(v), int(c)) for v, c in got.edges()] == [(v, c) for c, v in want]
+        assert_matches_reference_peg(*inputs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_peg_inputs())
+    # The shortcut picks outside the variable's component 11 times, the last
+    # after 10 merges.
+    @example((12, [0] * 3 + [2] * 8 + [3] * 8 + [5] * 4))
+    # The degree-12 variables meet every check, so the ceiling is waived.
+    @example((12, [2] * 21 + [3] * 14 + [12] * 24))
+    # A variable adjacent to every check, and one degree too many for that.
+    @example((5, [2] * 6 + [5]))
+    @example((5, [2] * 6 + [6]))
+    def test_matches_reference_peg_at_scale(self, inputs):
+        assert_matches_reference_peg(*inputs)
 
     def test_infeasible_degree_rejected(self):
         with pytest.raises(ConstructionError):
