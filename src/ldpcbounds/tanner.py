@@ -429,7 +429,9 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     # Sentinel-padded check-to-check table for `_bfs_levels`: row c lists,
     # once per shared variable, each check that shares a variable with c.
     # A check below the ceiling needs at most cap * (max_var_deg - 1)
-    # slots, so the table grows only where the ceiling is waived.
+    # slots, so the table grows only where the ceiling is waived; one
+    # doubling always makes room for the at most max_var_deg - 1 entries
+    # an edge adds to a row.
     cc_adj = np.full((n_checks + 1, max(cap * (max_var_deg - 1), 1)), n_checks,
                      dtype=np.int64)
     cc_fill = np.zeros(n_checks, dtype=np.int64)
