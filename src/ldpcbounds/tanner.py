@@ -428,7 +428,7 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     n_open = n_checks
     # Sentinel-padded check-to-check table for `_bfs_levels`: row c lists,
     # once per shared variable, each check that shares a variable with c.
-    # A check below the ceiling needs at most cap * (max_var_deg - 1)
+    # A check of degree at most cap needs at most cap * (max_var_deg - 1)
     # slots, so the table grows only where the ceiling is waived; one
     # doubling always makes room for the at most max_var_deg - 1 entries
     # an edge adds to a row.
