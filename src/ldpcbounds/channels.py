@@ -48,8 +48,8 @@ class Biawgn:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 {self.sigma2!r} must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 {self.sigma2!r} must be positive and finite")
         if not np.isfinite(2.0 / self.sigma2):
             raise ValueError(f"sigma2 {self.sigma2!r} too small: its LLR scale is not finite")
 
@@ -84,8 +84,16 @@ def transmit(codeword, channel: ChannelModel, seed) -> np.ndarray:
 def eb_n0_to_sigma2(eb_n0_db: float, rate: float) -> float:
     """Noise variance for a given Eb/N0 in dB at a given code rate.
 
-    sigma2 = 1 / (2 * rate * 10**(eb_n0_db / 10)).
+    sigma2 = 1 / (2 * rate * 10**(eb_n0_db / 10)); raises ValueError
+    unless that is finite and positive.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate {rate!r} outside (0, 1)")
-    return 1.0 / (2.0 * rate * 10.0 ** (eb_n0_db / 10.0))
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (eb_n0_db / 10.0))
+    except ArithmeticError:  # 10**(eb_n0_db/10) overflows, or underflows to 0
+        sigma2 = 0.0
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"eb_n0_db {eb_n0_db!r} gives no finite positive sigma2 "
+                         f"at rate {rate!r}")
+    return sigma2

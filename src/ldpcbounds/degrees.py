@@ -234,21 +234,6 @@ class EnsembleSpec:
     def design_rate(self) -> float:
         return 1.0 - self.n_checks / self.n_vars
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "var_dist": {str(d): f for d, f in self.var_dist.terms.items()},
-            "check_dist": {str(d): f for d, f in self.check_dist.terms.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "EnsembleSpec":
-        return cls(
-            n_vars=int(data["n_vars"]),
-            var_dist=DegreeDistribution(NODE, {int(d): float(f) for d, f in data["var_dist"].items()}),
-            check_dist=DegreeDistribution(NODE, {int(d): float(f) for d, f in data["check_dist"].items()}),
-        )
-
 
 def realize_degree_sequences(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
     """Integer degree sequences for one ensemble instance.

@@ -22,7 +22,7 @@ from . import __version__
 from ._util import fmt_number
 from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
-from .degrees import (DegreeDistribution, EnsembleSpec, node_perspective,
+from .degrees import (EDGE, NODE, DegreeDistribution, EnsembleSpec, node_perspective,
                       realize_degree_sequences)
 from .density_evolution import de_bec, ga_awgn
 from .errors import CapacityError, ConfigError, LdpcBoundsError
@@ -50,40 +50,64 @@ CSV_HEADERS = {
 }
 
 
-def _field(json_type: type, default=None, *, hashed: bool = True, **bounds):
-    """One config field: its JSON type, its bounds and whether it enters the hash.
-
-    ``bounds`` holds any of ``ge``, ``gt`` and ``lt``.  A ``list`` field
-    holds integers, and its bounds apply to every entry.  A field
-    without a default is required.
-    """
-    meta = {"type": json_type, "hashed": hashed, "bounds": bounds}
+def _field(json_type, default=None, *, hashed: bool = True, **meta):
+    """One top-level config key (see ``_block_errors``), required when it
+    has no default; ``hashed`` fields enter the config hash."""
+    meta.update(type=json_type, required=default is MISSING, hashed=hashed)
     if json_type is list:
         return field(default_factory=list, metadata=meta)
     return field(default=default, metadata=meta)
+
+
+def _degree_keys(dist: dict) -> dict:
+    """Schema of a degree map: each decimal degree maps to a number."""
+    return {d: {"type": float, "required": True}
+            for d in dist if isinstance(d, str) and d.isdecimal()}
+
+
+_ENSEMBLE_KEYS = {
+    "n_vars": {"type": int, "required": True},
+    "var_dist": {"type": dict, "required": True, "keys": _degree_keys},
+    "check_dist": {"type": dict, "required": True, "keys": _degree_keys},
+    "perspective": {"type": str, "among": (NODE, EDGE)},
+}
+# channel type -> (model, schema of its parameters); the model takes the first one.
+_CHANNELS = {
+    "bec": (Bec, {"epsilon": {"type": float, "required": True}}),
+    "bsc": (Bsc, {"q": {"type": float, "required": True}}),
+    "biawgn": (Biawgn, {"sigma2": {"type": float, "required": True, "or": ("eb_n0_db",)},
+                        "eb_n0_db": {"type": float}}),
+}
+
+
+def _channel_keys(block: dict) -> dict:
+    """Schema of a channel block: its type, then the parameters of that type."""
+    family = block.get("type")
+    params = _CHANNELS[family][1] if isinstance(family, str) and family in _CHANNELS else {}
+    return {"type": {"type": str, "required": True, "among": tuple(_CHANNELS)}, **params}
 
 
 @dataclass
 class ExperimentConfig:
     """Validated view of one experiment's JSON config.
 
-    The fields are the schema: ``from_dict`` takes the known keys, the
-    type checks and the range checks from their metadata, and
-    ``canonical_dict`` (hence the config hash) holds every hashed field.
-    A JSON null leaves a field at its default.
+    The fields are the schema: ``from_dict`` checks every level of the
+    config, the ``ensemble`` and ``channel`` blocks included, against their
+    metadata, and ``canonical_dict`` (hence the config hash) holds every
+    hashed field.  A JSON null at any level leaves a key at its default.
     """
 
     kind: str = _field(str, MISSING)
     seed: int = _field(int, MISSING, ge=0)
-    ensemble: dict | None = _field(dict)
+    ensemble: dict | None = _field(dict, keys=_ENSEMBLE_KEYS)
     alist: str | None = _field(str)
-    channel: dict | None = _field(dict)
+    channel: dict | None = _field(dict, keys=_channel_keys)
     iterations: list[int] = _field(list, ge=0)
     theta1: float = _field(float, 0.99, gt=0, lt=1)
     a0: float | None = _field(float, gt=0)
     a0_anchor: int | None = _field(int, ge=0)
     trials: int | None = _field(int, ge=1)
-    code: str = _field(str, "peg")
+    code: str = _field(str, "peg", among=("peg", "ensemble"))
     d_max: int | None = _field(int, ge=0)
     n_instances: int | None = _field(int, ge=1)
     pairs_per_instance: int | None = _field(int, ge=1)
@@ -94,19 +118,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(cls)}
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for f in known.values():
-            if f.default is MISSING and f.default_factory is MISSING \
-                    and data.get(f.name) is None:
-                raise ConfigError(f"config requires '{f.name}'")
-        cfg = cls(**{key: value for key, value in data.items() if value is not None})
-        errors = _field_errors(cfg)
+        errors = _block_errors(data, _CONFIG_KEYS)
         if errors:
             raise ConfigError("; ".join(errors))
-        return cfg
+        return cls(**{key: value for key, value in data.items() if value is not None})
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -131,10 +146,11 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_CONFIG_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                dict: "an object", list: "a list of integers"}
-_BOUND_TESTS = {"ge": (">=", lambda v, b: v >= b), "gt": (">", lambda v, b: v > b),
-                "lt": ("<", lambda v, b: v < b)}
+_RULE_TESTS = {"ge": (">=", lambda v, b: v >= b), "gt": (">", lambda v, b: v > b),
+               "lt": ("<", lambda v, b: v < b), "among": ("one of", lambda v, b: v in b)}
 
 
 def _is(value, json_type: type) -> bool:
@@ -148,59 +164,55 @@ def _is(value, json_type: type) -> bool:
     return isinstance(value, json_type)
 
 
-def _field_errors(config: ExperimentConfig) -> list[str]:
-    """Type and range errors of every set field, read off the field metadata."""
-    errors = []
-    for f in fields(config):
-        value, meta = getattr(config, f.name), f.metadata
-        if value is None and f.default is None:
+def _block_errors(block: dict, schema: dict, where: str = "config") -> list[str]:
+    """Errors of one config block and of its nested blocks.
+
+    ``schema`` maps each key to its JSON ``type`` and optionally: whether
+    it is ``required`` (with ``or``: exactly one of it and those keys),
+    its rules (``ge``, ``gt``, ``lt``, or ``among`` the allowed values; on
+    a list, per entry) and the ``keys`` schema of a nested block, or a
+    function of the block that returns it.  None counts as absent.
+    """
+    prefix = "" if where == "config" else f"{where}."
+    unknown = sorted(set(block) - set(schema))
+    errors = [f"unknown {where} keys: {unknown}"] if unknown else []
+    for name, meta in schema.items():
+        names = (name, *meta.get("or", ()))
+        if meta.get("required") and sum(block.get(n) is not None for n in names) != 1:
+            errors.append(f"{where} requires exactly one of {names}" if len(names) > 1
+                          else f"{where} requires '{name}'")
+        value = block.get(name)
+        if value is None:
             continue
         if not _is(value, meta["type"]):
-            errors.append(f"{f.name} must be {_TYPE_NAMES[meta['type']]}, got {value!r}")
+            errors.append(f"{prefix}{name} must be {_TYPE_NAMES[meta['type']]}, "
+                          f"got {value!r}")
             continue
         entries = value if meta["type"] is list else [value]
-        for key, bound in meta["bounds"].items():
-            symbol, test = _BOUND_TESTS[key]
-            if not all(test(v, bound) for v in entries):
-                errors.append(f"{f.name} must be {symbol} {bound}, got {value!r}")
+        for rule, (symbol, test) in _RULE_TESTS.items():
+            if rule in meta and not all(test(v, meta[rule]) for v in entries):
+                errors.append(f"{prefix}{name} must be {symbol} {meta[rule]}, "
+                              f"got {value!r}")
+        keys = meta.get("keys")
+        if keys is not None:
+            errors += _block_errors(value, keys(value) if callable(keys) else keys,
+                                    prefix + name)
     return errors
 
 
 def build_spec(config: ExperimentConfig) -> EnsembleSpec:
-    """EnsembleSpec from the config's ensemble block.
+    """EnsembleSpec from the config's ensemble block, as the schema checked it.
 
     ``perspective: "edge"`` marks the distributions as edge-perspective
     (lambda/rho); they are converted to the node perspective first.
     """
     ens = config.ensemble
-    if not ens:
-        raise ConfigError("config requires an 'ensemble' block")
-    for key in ("n_vars", "var_dist", "check_dist"):
-        if key not in ens:
-            raise ConfigError(f"ensemble block missing '{key}'")
-    if not _is(ens["n_vars"], int):
-        raise ConfigError(f"ensemble n_vars must be an integer, got {ens['n_vars']!r}")
-    perspective = ens.get("perspective", "node")
+    perspective = ens.get("perspective") or NODE
     dists = []
     for key in ("var_dist", "check_dist"):
-        raw = ens[key]
-        if not isinstance(raw, dict) or not all(_is(f, float) for f in raw.values()):
-            raise ConfigError(f"ensemble {key} must map degrees to numbers, got {raw!r}")
-        dist = DegreeDistribution(perspective, {int(d): f for d, f in raw.items()})
-        dists.append(node_perspective(dist) if perspective == "edge" else dist)
+        dist = DegreeDistribution(perspective, {int(d): f for d, f in ens[key].items()})
+        dists.append(node_perspective(dist) if perspective == EDGE else dist)
     return EnsembleSpec(ens["n_vars"], *dists)
-
-
-# channel type -> (model, the parameter it takes)
-_CHANNELS = {"bec": (Bec, "epsilon"), "bsc": (Bsc, "q"), "biawgn": (Biawgn, "sigma2")}
-
-
-def _channel_number(ch: dict, key: str) -> float:
-    if key not in ch:
-        raise ConfigError(f"channel.{key} is required for {ch['type']}")
-    if not _is(ch[key], float):
-        raise ConfigError(f"channel.{key} must be a finite number, got {ch[key]!r}")
-    return float(ch[key])
 
 
 def build_channel(config: ExperimentConfig, spec: EnsembleSpec | None) -> tuple[ChannelModel, dict]:
@@ -209,19 +221,16 @@ def build_channel(config: ExperimentConfig, spec: EnsembleSpec | None) -> tuple[
     BI-AWGN takes ``sigma2``, or ``eb_n0_db`` converted with the
     ensemble's design rate.
     """
-    ch = config.channel or {}
-    kind = ch.get("type")
-    if kind == "biawgn" and "sigma2" not in ch and "eb_n0_db" in ch:
-        if spec is None:
-            raise ConfigError("eb_n0_db conversion needs an ensemble for the rate")
-        eb_n0_db = _channel_number(ch, "eb_n0_db")
-        sigma2 = eb_n0_to_sigma2(eb_n0_db, spec.design_rate)
-        return Biawgn(sigma2), {"eb_n0_db": eb_n0_db, "design_rate": spec.design_rate,
-                                "sigma2": sigma2}
-    for name, (model, key) in _CHANNELS.items():
-        if kind == name:
-            return model(_channel_number(ch, key)), {}
-    raise ConfigError(f"config requires a 'channel' block with a type in {list(_CHANNELS)}")
+    ch = config.channel
+    model, params = _CHANNELS[ch["type"]]
+    if ch.get("eb_n0_db") is None:
+        return model(float(ch[next(iter(params))])), {}
+    if spec is None:
+        raise ConfigError("eb_n0_db conversion needs an ensemble for the rate")
+    eb_n0_db = float(ch["eb_n0_db"])
+    sigma2 = eb_n0_to_sigma2(eb_n0_db, spec.design_rate)
+    return Biawgn(sigma2), {"eb_n0_db": eb_n0_db, "design_rate": spec.design_rate,
+                            "sigma2": sigma2}
 
 
 def _spec_is_regular(spec: EnsembleSpec) -> bool:
@@ -230,9 +239,15 @@ def _spec_is_regular(spec: EnsembleSpec) -> bool:
 
 @dataclass
 class ValidationReport:
+    """Findings of ``validate``, plus the ensemble, channel and channel
+    notes it built, which ``run`` hands to the kind's handler."""
+
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     infos: list[str] = field(default_factory=list)
+    spec: EnsembleSpec | None = None
+    channel: ChannelModel | None = None
+    notes: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -245,8 +260,8 @@ class ValidationReport:
 
 
 def validate(config: ExperimentConfig) -> ValidationReport:
-    """Static checks only; nothing is executed."""
-    report = ValidationReport(errors=_field_errors(config))
+    """Static checks; builds the ensemble and the channel but runs nothing."""
+    report = ValidationReport(errors=_block_errors(vars(config), _CONFIG_KEYS))
     if config.kind not in _KINDS:
         report.errors.append(f"unknown kind {config.kind!r}")
     if report.errors:
@@ -262,23 +277,21 @@ def validate(config: ExperimentConfig) -> ValidationReport:
             "(the iteration range)")
     if kind == "recursion" and config.iterations and max(config.iterations) < 1:
         report.errors.append("kind recursion requires an iteration count >= 1")
-    if config.code not in ("peg", "ensemble"):
-        report.errors.append(f"unknown code construction {config.code!r}")
     if kind == "simulate" and config.ensemble is None and config.alist is None:
         report.errors.append("kind simulate requires 'ensemble' or 'alist'")
-    spec = None
     if config.ensemble is not None:
         try:
-            spec = build_spec(config)
+            report.spec = build_spec(config)
         except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"ensemble: {exc}")
     if config.alist is not None and not Path(config.alist).is_file():
         report.errors.append(f"alist file not found: {config.alist}")
     if config.channel is not None:
         try:
-            build_channel(config, spec)
+            report.channel, report.notes = build_channel(config, report.spec)
         except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"channel: {exc}")
+    spec = report.spec
     if kind in ("bounds", "figure5", "recursion") and spec is not None \
             and not _spec_is_regular(spec) and any(l < 1 for l in config.iterations):
         report.errors.append("irregular bound recursion requires iterations >= 1")
@@ -497,10 +510,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    spec = build_spec(config) if config.ensemble is not None else None
-    channel, notes = (build_channel(config, spec) if config.channel is not None
-                      else (None, {}))
-    tables = _KINDS[config.kind][0](config, spec, channel, notes)
+    tables = _KINDS[config.kind][0](config, report.spec, report.channel, report.notes)
     outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)
                for name, rows in tables.items()}
     manifest = {
@@ -511,7 +521,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
         "config": config.canonical_dict(),
-        "notes": notes,
+        "notes": report.notes,
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

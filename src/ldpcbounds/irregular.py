@@ -17,7 +17,7 @@ Monte Carlo estimator over sampled graph pairs cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, log
+from math import inf
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .channels import ChannelModel
 from .degrees import DegreeDistribution, EnsembleSpec, edge_perspective
 from .errors import InvalidDistributionError
 from .regular_bounds import (BoundPoint, RegularParams, bound_point_from_weight,
-                             closed_form_lower)
+                             closed_form_lower, tree_regime_limit)
 from .tanner import distance, sample_graph
 
 BRANCH_BELOW = "below-threshold"
@@ -50,7 +50,7 @@ def l1_threshold(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
         raise InvalidDistributionError("check max degree must be >= 3")
     if theta1 < 0:
         raise ValueError("theta1 must be >= 0")
-    return theta1 * 2.0 * log(n_vars) / (5.0 * log(j_max - 1) + 3.0 * log(k_max - 1))
+    return tree_regime_limit(j_max, k_max, n_vars, theta1)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ class TestChannelValidation:
         with pytest.raises(ValueError):
             Biawgn(0.0)
 
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan])
+    def test_biawgn_finite(self, sigma2):
+        with pytest.raises(ValueError, match="finite"):
+            Biawgn(sigma2)
+
     @pytest.mark.parametrize("channel, value", [(Biawgn, 1e-310), (Bsc, 1e-320)])
     def test_infinite_llr_scale_rejected(self, channel, value):
         with pytest.raises(ValueError, match="not finite"):
@@ -80,3 +85,10 @@ class TestEbN0:
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
             eb_n0_to_sigma2(0.0, 1.0)
+
+    # 10**(x/10) overflows at 1e6, underflows to 0 at -4000 and -1e6, and
+    # gives an infinite sigma2 at -3100.
+    @pytest.mark.parametrize("eb_n0_db", [1e6, -1e6, -4000.0, -3100.0, math.nan])
+    def test_no_finite_positive_sigma2(self, eb_n0_db):
+        with pytest.raises(ValueError, match="finite positive"):
+            eb_n0_to_sigma2(eb_n0_db, 0.25)

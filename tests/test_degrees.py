@@ -120,11 +120,6 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError):
             EnsembleSpec(5, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
 
-    def test_json_roundtrip(self, spec34_900):
-        data = spec34_900.to_json_dict()
-        assert data["var_dist"] == {"3": 1.0}
-        assert EnsembleSpec.from_json_dict(data) == spec34_900
-
 
 class TestRealizeDegreeSequences:
     def test_regular(self, spec34_900):

@@ -1,6 +1,8 @@
 import json
+import re
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, sample_graph, \
     save_alist
 from ldpcbounds.cli import _build_parser, main
-from ldpcbounds.experiments import (CSV_HEADERS, ExperimentConfig, build_channel,
-                                    build_spec, run, validate)
+from ldpcbounds.experiments import (_CHANNELS, _ENSEMBLE_KEYS, CSV_HEADERS,
+                                    ExperimentConfig, build_channel, build_spec, run,
+                                    validate)
 
 REGULAR_ENSEMBLE = {"n_vars": 120, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}}
 EDGE_ENSEMBLE = {
@@ -145,6 +148,16 @@ class TestValidate:
                           iterations=[1], trials=2)
         report = validate(cfg)
         assert any("not found" in e for e in report.errors)
+
+    def test_run_builds_the_spec_once(self, tmp_path, monkeypatch):
+        built = []
+        post_init = EnsembleSpec.__post_init__
+        monkeypatch.setattr(EnsembleSpec, "__post_init__",
+                            lambda spec: built.append(spec) or post_init(spec))
+        run(make_config(kind="de", seed=1, ensemble=REGULAR_ENSEMBLE,
+                        channel={"type": "bec", "epsilon": 0.4}, iterations=[3]),
+            tmp_path)
+        assert len(built) == 1
 
 
 class TestRunKinds:
@@ -358,13 +371,21 @@ class TestCli:
         ("simulate", {"alist": "."}),
         ("simulate", {"code": "foo"}),
         ("simulate", {"channel": {"type": "biawgn", "sigma2": 1e-310}}),
+        ("de", {"ensemble": REGULAR_ENSEMBLE | {"perspektive": "edge"}}),
+        ("de", {"channel": {"type": "bec", "epsilon": 0.4, "q": 0.1}}),
+        ("de", {"channel": {"type": "biawgn", "sigma2": 0.8, "eb_n0_db": 1.0}}),
+        ("de", {"channel": {"type": "biawgn", "eb_n0_db": 1e6}}),
+        ("de", {"channel": {"type": "biawgn", "eb_n0_db": -1e6}}),
+        ("de", {"channel": {"type": "biawgn", "eb_n0_db": -3100}}),
     ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed",
             "string-trials", "negative-trials", "float-trials", "zero-trials-per-block",
             "string-threads", "zero-threads", "string-theta1", "theta1-above-one",
             "string-a0", "string-d-max", "negative-d-max", "string-n-instances",
             "negative-n-instances", "string-n-samples", "negative-n-samples",
             "float-n-samples", "integer-alist", "directory-alist",
-            "unknown-code", "subnormal-sigma2"])
+            "unknown-code", "subnormal-sigma2", "misspelt-perspective",
+            "bec-with-q", "sigma2-and-eb-n0", "eb-n0-overflow", "eb-n0-underflow",
+            "eb-n0-infinite-sigma2"])
     def test_bad_config_exit_code(self, tmp_path, capsys, kind, changes):
         path = self.write_config(tmp_path, {
             "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE,
@@ -418,16 +439,45 @@ _SCALARS = st.one_of(st.none(), st.booleans(), _SMALL_INTS, st.floats(width=32),
 _FUZZ_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
                          st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2))
 _FUZZ_KEYS = st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["typo"])
+_DELETE = object()
+_NESTED_KEYS = {
+    "ensemble": [*_ENSEMBLE_KEYS, "typo"],
+    "channel": ["type", *(key for _, params in _CHANNELS.values() for key in params),
+                "typo"],
+}
+
+
+def _nested_changes(block):
+    """Set, replace or delete up to two keys inside one nested block."""
+    return st.dictionaries(st.sampled_from(_NESTED_KEYS[block]),
+                           st.one_of(_FUZZ_VALUES, st.just(_DELETE)), max_size=2)
 
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(sorted(FUZZ_BASES)),
-       changes=st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, min_size=1, max_size=2))
-def test_cli_fuzz_exit_codes(kind, changes):
-    """Any one- or two-field change of a valid config exits 0, 2 or 3."""
+       changes=st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=2),
+       ensemble=_nested_changes("ensemble"), channel=_nested_changes("channel"))
+def test_cli_fuzz_exit_codes(kind, changes, ensemble, channel):
+    """Any change of up to two fields, and of up to two keys inside each of
+    the ensemble and channel blocks, of a valid config exits 0, 2 or 3."""
+    config = {"kind": kind, "seed": 1, **FUZZ_BASES[kind]}
+    for block, edits in (("ensemble", ensemble), ("channel", channel)):
+        if edits:
+            merged = {**config.get(block, {}), **edits}
+            config[block] = {k: v for k, v in merged.items() if v is not _DELETE}
+    config.update(changes)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"kind": kind, "seed": 1, **FUZZ_BASES[kind], **changes}, fh)
+            json.dump(config, fh)
         assert main([kind, "--config", path, "--out", f"{tmp}/out"]) in (0, 2, 3)
+
+
+def test_readme_field_table_matches_schema():
+    """The README's config-field table names exactly the top-level fields."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Field | Type |", 1)[1].split("\n\n", 1)[0]
+    names = {name for row in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert names == {f.name for f in fields(ExperimentConfig)}
