@@ -15,7 +15,7 @@ from .degrees import (DegreeDistribution, EnsembleSpec, check_count,
                       realize_degree_sequences)
 from .tanner import (NeighborhoodView, TannerGraph, distance, girth,
                      neighborhood, peg_construct, sample_graph,
-                     sample_graph_with_attempts, variable_distances)
+                     sample_graph_with_attempts)
 from .alist import load_alist, save_alist
 from .bp import DecodeResult, bec_unresolved, bp_marginals, bp_step, c2v_update, \
     decode, v2c_update

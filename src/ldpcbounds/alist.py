@@ -25,6 +25,26 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     return out
 
 
+def _adjacency(rows: list, degrees: list[int], side: str, other: str,
+               n_other: int) -> list[list[int]]:
+    """One adjacency half: the nonzero 1-indexed ids of each ``side`` node's
+    row, checked against its degree and the ``n_other`` nodes of the other
+    side."""
+    adj = []
+    for i, ((no, toks), degree) in enumerate(zip(rows, degrees), 1):
+        entries = [x for x in _ints(toks, no) if x != 0]
+        if len(entries) != degree:
+            raise AlistParseError(
+                f"{side} {i} lists {len(entries)} {other}s, degree says {degree}", line=no)
+        if any(not 1 <= x <= n_other for x in entries):
+            raise AlistParseError(f"{other} index out of range 1..{n_other}", line=no)
+        if len(set(entries)) != len(entries):
+            raise AlistParseError(f"{side} {i} repeats a {other} (parallel edge)",
+                                  line=no)
+        adj.append(entries)
+    return adj
+
+
 def load_alist(path: str | os.PathLike) -> TannerGraph:
     """Parse an alist file into a TannerGraph.
 
@@ -70,35 +90,8 @@ def load_alist(path: str | os.PathLike) -> TannerGraph:
             f"expected {4 + n_vars + n_checks} non-empty lines, found {len(lines)}"
         )
 
-    var_adj: list[list[int]] = []
-    for v in range(n_vars):
-        no, toks = lines[4 + v]
-        entries = [x for x in _ints(toks, no) if x != 0]
-        if len(entries) != var_degs[v]:
-            raise AlistParseError(
-                f"variable {v + 1} lists {len(entries)} checks, degree says {var_degs[v]}",
-                line=no)
-        if any(not 1 <= c <= n_checks for c in entries):
-            raise AlistParseError(f"check index out of range 1..{n_checks}", line=no)
-        if len(set(entries)) != len(entries):
-            raise AlistParseError(f"variable {v + 1} repeats a check (parallel edge)",
-                                  line=no)
-        var_adj.append(entries)
-
-    chk_adj: list[list[int]] = []
-    for c in range(n_checks):
-        no, toks = lines[4 + n_vars + c]
-        entries = [x for x in _ints(toks, no) if x != 0]
-        if len(entries) != chk_degs[c]:
-            raise AlistParseError(
-                f"check {c + 1} lists {len(entries)} variables, degree says {chk_degs[c]}",
-                line=no)
-        if any(not 1 <= v <= n_vars for v in entries):
-            raise AlistParseError(f"variable index out of range 1..{n_vars}", line=no)
-        if len(set(entries)) != len(entries):
-            raise AlistParseError(f"check {c + 1} repeats a variable (parallel edge)",
-                                  line=no)
-        chk_adj.append(entries)
+    var_adj = _adjacency(lines[4:4 + n_vars], var_degs, "variable", "check", n_checks)
+    chk_adj = _adjacency(lines[4 + n_vars:], chk_degs, "check", "variable", n_vars)
 
     from_vars = {(v, c - 1) for v, row in enumerate(var_adj) for c in row}
     from_chks = {(v - 1, c) for c, row in enumerate(chk_adj) for v in row}

@@ -11,14 +11,15 @@ import argparse
 import sys
 
 from .errors import CapacityError, ConfigError, LdpcBoundsError
-from .experiments import KINDS, ExperimentConfig, run, validate
+from .experiments import _KINDS, KINDS, ExperimentConfig, run, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
-# The kinds whose Monte Carlo sweep runs on a thread pool.
-THREADED_KINDS = ("simulate", "figure5")
+# The kinds whose Monte Carlo sweep runs on a thread pool: those that take trials.
+THREADED_KINDS = tuple(kind for kind, (_, required) in _KINDS.items()
+                       if "trials" in required)
 
 
 def _build_parser() -> argparse.ArgumentParser:

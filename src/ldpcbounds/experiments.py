@@ -243,7 +243,6 @@ class ValidationReport:
     notes it built, which ``run`` hands to the kind's handler."""
 
     errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
     infos: list[str] = field(default_factory=list)
     spec: EnsembleSpec | None = None
     channel: ChannelModel | None = None
@@ -254,13 +253,17 @@ class ValidationReport:
         return not self.errors
 
     def lines(self) -> list[str]:
-        return ([f"error: {m}" for m in self.errors]
-                + [f"warning: {m}" for m in self.warnings]
-                + [f"info: {m}" for m in self.infos])
+        return [f"error: {m}" for m in self.errors] + [f"info: {m}" for m in self.infos]
 
 
 def validate(config: ExperimentConfig) -> ValidationReport:
-    """Static checks; builds the ensemble and the channel but runs nothing."""
+    """Every check a config must pass for ``run`` to start its kind.
+
+    Builds the ensemble and the channel and evaluates the kind's weight
+    bound, which takes microseconds per iteration count and raises the
+    bound's own argument errors; runs no density evolution, sampling or
+    simulation.
+    """
     report = ValidationReport(errors=_block_errors(vars(config), _CONFIG_KEYS))
     if config.kind not in _KINDS:
         report.errors.append(f"unknown kind {config.kind!r}")
@@ -275,8 +278,6 @@ def validate(config: ExperimentConfig) -> ValidationReport:
         report.errors.append(
             f"a0_anchor {config.a0_anchor} outside 0..{max(config.iterations)} "
             "(the iteration range)")
-    if kind == "recursion" and config.iterations and max(config.iterations) < 1:
-        report.errors.append("kind recursion requires an iteration count >= 1")
     if kind == "simulate" and config.ensemble is None and config.alist is None:
         report.errors.append("kind simulate requires 'ensemble' or 'alist'")
     if config.ensemble is not None:
@@ -292,17 +293,24 @@ def validate(config: ExperimentConfig) -> ValidationReport:
         except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"channel: {exc}")
     spec = report.spec
-    if kind in ("bounds", "figure5", "recursion") and spec is not None \
-            and not _spec_is_regular(spec) and any(l < 1 for l in config.iterations):
-        report.errors.append("irregular bound recursion requires iterations >= 1")
+    if kind in ("de", "figure5") and report.channel is not None \
+            and not isinstance(report.channel, (Bec, Biawgn)):
+        report.errors.append("density evolution curves cover BEC and BI-AWGN only")
+    if kind == "figure5" and spec is not None and spec.var_dist.max_degree < 3:
+        report.errors.append("gamma-curve bounds require variable max degree >= 3")
+    if not report.errors and kind in ("bounds", "figure5", "recursion"):
+        try:
+            if kind == "recursion":
+                weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
+                                 max(config.iterations), config.theta1)
+            else:
+                _lower_bounds(config, spec, report.channel, config.iterations)
+        except (LdpcBoundsError, ValueError) as exc:
+            report.errors.append(f"weight bound: {exc}")
 
     if spec is not None and config.iterations:
         j = spec.var_dist.max_degree
         k = spec.check_dist.max_degree
-        if _spec_is_regular(spec) and j < 3 and kind in ("bounds", "figure5"):
-            report.warnings.append(
-                "closed-form weight bound requires variable degree >= 3; "
-                f"got {j}")
         if j >= 3:
             tree_lim = tree_regime_limit(j, k, spec.n_vars, config.theta1)
             block_lim = block_regime_limit(j, k, spec.n_vars)
@@ -359,10 +367,8 @@ def _de_trace(config: ExperimentConfig, spec: EnsembleSpec, channel: ChannelMode
     if isinstance(channel, Bec):
         notes["de_label"] = "DE (exact, BEC)"
         return de_bec(spec.var_dist, spec.check_dist, channel.epsilon, l_max)
-    if isinstance(channel, Biawgn):
-        notes["de_label"] = "DE (Gaussian approx., AWGN)"
-        return ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
-    raise ConfigError("density evolution curves cover BEC and BI-AWGN only")
+    notes["de_label"] = "DE (Gaussian approx., AWGN)"
+    return ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
 
 
 def _simulated_rows(config: ExperimentConfig, spec: EnsembleSpec | None,
@@ -384,8 +390,6 @@ def _simulated_rows(config: ExperimentConfig, spec: EnsembleSpec | None,
 
 def _bounds(config, spec, channel, notes) -> dict:
     j = spec.var_dist.max_degree
-    if _spec_is_regular(spec) and j < 3:
-        raise ConfigError("closed-form weight bound requires variable degree >= 3")
     upper = config.a0 is not None and j >= 3
     if upper:
         notes["upper_bound_label"] = "form-only upper bound (a0 supplied)"
@@ -452,8 +456,6 @@ def _oracle(config, spec, channel, notes) -> dict:
 
 def _figure5(config, spec, channel, notes) -> dict:
     j = spec.var_dist.max_degree
-    if j < 3:
-        raise ConfigError("gamma-curve bounds require variable max degree >= 3")
     iters = sorted(config.iterations)
     lower = _lower_bounds(config, spec, channel, iters)
     trace = _de_trace(config, spec, channel, notes)
@@ -485,6 +487,8 @@ def _figure5(config, spec, channel, notes) -> dict:
 # kind -> (handler, fields it requires), in the command line's order.  A
 # handler takes (config, spec, channel, notes) once validate() has passed,
 # may add to notes, and returns {file name: rows} for run() to write.
+# Every rule on the config itself is in validate(); a handler raises only
+# on computed data (the a0 anchor fit, the oracle's capacity guard).
 _KINDS = {
     "bounds": (_bounds, ("ensemble", "channel", "iterations")),
     "simulate": (_simulate, ("channel", "iterations", "trials")),
@@ -501,16 +505,19 @@ KINDS = tuple(_KINDS)
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the manifest dict (also written to disk).
 
-    Raises ConfigError for invalid configs and propagates CapacityError
-    from the oracle.
+    Raises ConfigError for a config that ``validate`` rejects or whose
+    density-evolution BER at the a0 anchor is 0 or 1, and propagates
+    CapacityError from the oracle.  The output directory is made only
+    after the kind's tables are computed, so a run that raises writes
+    nothing.
     """
     report = validate(config)
     if not report.ok:
         raise ConfigError("; ".join(report.errors))
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     tables = _KINDS[config.kind][0](config, report.spec, report.channel, report.notes)
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)
                for name, rows in tables.items()}
     manifest = {

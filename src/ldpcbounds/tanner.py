@@ -207,22 +207,18 @@ def _check_var(g: TannerGraph, u: int) -> None:
         raise IndexError(f"variable index {u} out of range")
 
 
-def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None,
-                  stop_var: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Graph distances from a root variable node, level-synchronous.
 
     Returns ``(var_dist, chk_dist)`` int arrays with -1 for nodes not
-    reached within ``max_depth``.  When ``stop_var`` is given the search
-    exits as soon as that variable has been labeled.
+    reached within ``max_depth``.
     """
     _check_var(g, root)
-    if stop_var is not None:
-        _check_var(g, stop_var)
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
-    for depth, _, _ in _var_levels(g, root, var_dist, chk_dist, max_depth):
-        if stop_var is not None and depth % 2 == 0 and var_dist[stop_var] >= 0:
-            break
+    for _ in _var_levels(g, root, var_dist, chk_dist, max_depth):
+        pass
     return var_dist[:-1], chk_dist[:-1]
 
 
@@ -261,12 +257,6 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
         if labels[1 - side][depth[side] % 2].take(ring).max() >= 0:
             return depth[0] + depth[1]
     return inf
-
-
-def variable_distances(g: TannerGraph, v: int, max_depth: int | None = None) -> np.ndarray:
-    """Distances from v to every variable node (-1 beyond max_depth)."""
-    var_dist, _ = bfs_distances(g, v, max_depth=max_depth)
-    return var_dist
 
 
 # -- neighborhood views --------------------------------------------------

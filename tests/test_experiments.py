@@ -17,6 +17,9 @@ from ldpcbounds.experiments import (_CHANNELS, _ENSEMBLE_KEYS, CSV_HEADERS,
                                     validate)
 
 REGULAR_ENSEMBLE = {"n_vars": 120, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}}
+# Check degree 2 is below the irregular recursion's Kmax >= 3.
+LOW_CHECK_DEGREE_ENSEMBLE = {"n_vars": 120, "var_dist": {"1": 0.5, "2": 0.5},
+                             "check_dist": {"2": 1.0}}
 EDGE_ENSEMBLE = {
     "n_vars": 400, "perspective": "edge",
     "var_dist": {"2": 0.38354, "3": 0.04237, "4": 0.57409},
@@ -125,15 +128,16 @@ class TestValidate:
         report = validate(cfg)
         assert not report.ok
 
-    def test_low_degree_warning(self, tmp_path):
+    def test_low_degree_error(self, tmp_path):
         cfg = make_config(
             kind="bounds", seed=1,
             ensemble={"n_vars": 120, "var_dist": {"2": 1.0}, "check_dist": {"4": 1.0}},
             channel={"type": "bec", "epsilon": 0.5}, iterations=[1])
         report = validate(cfg)
-        assert any("degree >= 3" in w for w in report.warnings)
-        with pytest.raises(ConfigError):
-            run(cfg, tmp_path)
+        assert any("degree must be >= 3" in e for e in report.errors)
+        with pytest.raises(ConfigError, match="degree must be >= 3"):
+            run(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_saturation_info(self):
         cfg = make_config(kind="bounds", seed=1, ensemble=REGULAR_ENSEMBLE,
@@ -377,6 +381,12 @@ class TestCli:
         ("de", {"channel": {"type": "biawgn", "eb_n0_db": 1e6}}),
         ("de", {"channel": {"type": "biawgn", "eb_n0_db": -1e6}}),
         ("de", {"channel": {"type": "biawgn", "eb_n0_db": -3100}}),
+        ("de", {"channel": {"type": "bsc", "q": 0.05}}),
+        ("figure5", {"channel": {"type": "bsc", "q": 0.05}}),
+        ("bounds", {"ensemble": {"n_vars": 120, "var_dist": {"2": 1.0},
+                                 "check_dist": {"4": 1.0}}}),
+        ("recursion", {"ensemble": LOW_CHECK_DEGREE_ENSEMBLE}),
+        ("bounds", {"ensemble": LOW_CHECK_DEGREE_ENSEMBLE}),
     ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed",
             "string-trials", "negative-trials", "float-trials", "zero-trials-per-block",
             "string-threads", "zero-threads", "string-theta1", "theta1-above-one",
@@ -385,13 +395,35 @@ class TestCli:
             "float-n-samples", "integer-alist", "directory-alist",
             "unknown-code", "subnormal-sigma2", "misspelt-perspective",
             "bec-with-q", "sigma2-and-eb-n0", "eb-n0-overflow", "eb-n0-underflow",
-            "eb-n0-infinite-sigma2"])
+            "eb-n0-infinite-sigma2", "bsc-de", "bsc-figure5", "regular-2-4-bounds",
+            "check-degree-2-recursion", "check-degree-2-bounds"])
     def test_bad_config_exit_code(self, tmp_path, capsys, kind, changes):
+        """A config the run rejects is rejected by validate too, and the run
+        writes nothing."""
         path = self.write_config(tmp_path, {
             "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE,
             "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1, 2],
             "trials": 4, "code": "ensemble", **changes})
+        assert main(["validate", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert "error:" in out + err
         assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, data, code", [
+        ("figure5", {"ensemble": REGULAR_ENSEMBLE, "channel": {"type": "bec", "epsilon": 0.0},
+                     "iterations": [1, 2], "trials": 4, "code": "ensemble"}, 2),
+        ("oracle", {"ensemble": {"n_vars": 1200, "var_dist": {"3": 1.0},
+                                 "check_dist": {"4": 1.0}},
+                    "iterations": [4], "n_samples": 2}, 3),
+    ], ids=["anchor-fit-at-ber-0", "oracle-capacity"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, kind, data, code):
+        """Failures that depend on the computed data pass validate, and the
+        run still leaves no output directory."""
+        path = self.write_config(tmp_path, {"kind": kind, "seed": 1, **data})
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
         assert "error:" in capsys.readouterr().err
 
@@ -460,7 +492,8 @@ def _nested_changes(block):
        ensemble=_nested_changes("ensemble"), channel=_nested_changes("channel"))
 def test_cli_fuzz_exit_codes(kind, changes, ensemble, channel):
     """Any change of up to two fields, and of up to two keys inside each of
-    the ensemble and channel blocks, of a valid config exits 0, 2 or 3."""
+    the ensemble and channel blocks, of a valid config exits 0, 2 or 3, and
+    only a run that exits 0 makes its output directory."""
     config = {"kind": kind, "seed": 1, **FUZZ_BASES[kind]}
     for block, edits in (("ensemble", ensemble), ("channel", channel)):
         if edits:
@@ -471,7 +504,9 @@ def test_cli_fuzz_exit_codes(kind, changes, ensemble, channel):
         path = f"{tmp}/config.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        assert main([kind, "--config", path, "--out", f"{tmp}/out"]) in (0, 2, 3)
+        code = main([kind, "--config", path, "--out", f"{tmp}/out"])
+        assert code in (0, 2, 3)
+        assert Path(f"{tmp}/out").exists() == (code == 0)
 
 
 def test_readme_field_table_matches_schema():

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
                         InvalidSpecError, SamplingFailureError, TannerGraph,
                         distance, girth, neighborhood, peg_construct,
-                        sample_graph, sample_graph_with_attempts,
-                        variable_distances)
+                        sample_graph, sample_graph_with_attempts)
 from ldpcbounds._util import as_generator
 from ldpcbounds.degrees import realize_degree_sequences
 from ldpcbounds.tanner import bfs_distances
@@ -43,8 +42,8 @@ def reference_distance(g, vi, vj):
     return math.inf
 
 
-def reference_bfs(g, root, max_depth=None, stop_var=None):
-    """Level-by-level list BFS over the CSR accessors, with the documented stops."""
+def reference_bfs(g, root, max_depth=None):
+    """Level-by-level list BFS over the CSR accessors, stopping at ``max_depth``."""
     var_dist = [-1] * g.n_vars
     chk_dist = [-1] * g.n_checks
     var_dist[root] = 0
@@ -63,8 +62,6 @@ def reference_bfs(g, root, max_depth=None, stop_var=None):
                     dist[w] = depth
                     nxt.append(int(w))
         frontier = nxt
-        if depth % 2 == 0 and stop_var is not None and var_dist[stop_var] >= 0:
-            break
     return var_dist, chk_dist
 
 
@@ -302,7 +299,7 @@ class TestDistances:
 
     def test_variable_distances_even_or_unreached(self, spec34_900):
         g = sample_graph(spec34_900, 3)
-        d = variable_distances(g, 17)
+        d, _ = bfs_distances(g, 17)
         reached = d[d >= 0]
         assert (reached % 2 == 0).all()
 
@@ -319,19 +316,17 @@ class TestDistances:
         g = hand_built_graphs()[index]
         for root in range(g.n_vars):
             for max_depth in (None, 0, 1, 2, 3, 5):
-                for stop_var in (None, *range(g.n_vars)):
-                    got = bfs_distances(g, root, max_depth=max_depth, stop_var=stop_var)
-                    want = reference_bfs(g, root, max_depth=max_depth, stop_var=stop_var)
-                    assert [d.tolist() for d in got] == list(want)
+                got = bfs_distances(g, root, max_depth=max_depth)
+                want = reference_bfs(g, root, max_depth=max_depth)
+                assert [d.tolist() for d in got] == list(want)
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(), st.data())
     def test_bfs_matches_reference_on_random_graphs(self, g, data):
         root = data.draw(st.integers(0, g.n_vars - 1))
         max_depth = data.draw(st.one_of(st.none(), st.integers(0, 8)))
-        stop_var = data.draw(st.one_of(st.none(), st.integers(0, g.n_vars - 1)))
-        got = bfs_distances(g, root, max_depth=max_depth, stop_var=stop_var)
-        want = reference_bfs(g, root, max_depth=max_depth, stop_var=stop_var)
+        got = bfs_distances(g, root, max_depth=max_depth)
+        want = reference_bfs(g, root, max_depth=max_depth)
         assert [d.tolist() for d in got] == list(want)
 
     def test_bfs_rejects_root_out_of_range(self, tree_graph):
@@ -341,8 +336,6 @@ class TestDistances:
 
     def test_rejects_other_variables_out_of_range(self, tree_graph):
         for u in (-1, tree_graph.n_vars):
-            with pytest.raises(IndexError, match=f"variable index {u} out of range"):
-                bfs_distances(tree_graph, 0, stop_var=u)
             with pytest.raises(IndexError, match=f"variable index {u} out of range"):
                 distance(tree_graph, 0, u)
             with pytest.raises(IndexError, match=f"variable index {u} out of range"):
