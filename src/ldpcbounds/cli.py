@@ -69,8 +69,10 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         report = validate(config)
-        for line in report.lines():
-            print(line)
+        for message in report.errors:
+            print(f"error: {message}", file=sys.stderr)
+        for message in report.infos:
+            print(f"info: {message}")
         if report.ok:
             print("config ok")
         return EXIT_OK if report.ok else EXIT_CONFIG

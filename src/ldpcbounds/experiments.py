@@ -252,9 +252,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def lines(self) -> list[str]:
-        return [f"error: {m}" for m in self.errors] + [f"info: {m}" for m in self.infos]
-
 
 def validate(config: ExperimentConfig) -> ValidationReport:
     """Every check a config must pass for ``run`` to start its kind.

@@ -1,22 +1,34 @@
 """Tanner graphs: construction, sampling, and distance queries.
 
 Graphs are immutable after construction and precompute edge-indexed CSR
-layouts for message passing.  Every breadth-first search in this module
-(distance queries, neighborhoods, girth, and the ring search of the PEG
-construction) runs on one level-synchronous kernel, `_bfs_levels`, over
-sentinel-padded adjacency tables.  A search is a cycle of steps, each a
-table and the label array of the nodes it reaches.  Searches on a graph
-alternate two steps: row u of ``var_adj`` lists the checks of variable u
-padded with the id ``n_checks``, and row c of ``chk_adj`` lists the
-variables of check c padded with ``n_vars``.  The PEG search takes one
-step, from checks to checks, over a table whose row c lists the checks
-that share a variable with c.  The label arrays carry one extra slot for
-the sentinel, which is always marked as seen, so one BFS level is a
-gather, a seen-filter and a sort-free scatter-and-mark dedupe.
-"""
+layouts for message passing.  Breadth-first search runs in two
+level-synchronous loops over sentinel-padded tables: row u of ``var_adj``
+lists the checks of variable u padded with the id ``n_checks``, row c of
+``chk_adj`` lists the variables of check c padded with ``n_vars``, and
+each label array or mask keeps one extra slot for the sentinel, which is
+always marked as seen.
 
+`_bfs_levels` serves the queries on a finished graph (`bfs_distances`,
+`distance`, `neighborhood` and `girth`).  Its levels alternate between the
+two tables, and one level is a gather, a seen-filter and a sort-free
+scatter-and-mark dedupe, all sized by the level, not by the graph.  These
+queries label few nodes of a large graph; a pair distance stops where its
+two searches meet.
+
+The ring search of `peg_construct` has its own loop, over two bool masks
+of one slot per check, stepping through a check-to-check table.  A PEG
+search labels nearly every check: at N=5400 the (3,4) code takes 6,751
+searches of 9.6 levels on average, and each labels about 4,047 of the
+4,050 checks.  There, clearing a dense mask and reading the next ring
+back with ``nonzero``, already in ascending order, takes fewer numpy calls
+per level than the dedupe, and the whole construction runs about 1.4x
+faster.  One dense loop for every search was tried and rejected: it
+slowed the `figure6-tail` benchmark (median 1.39 to 1.56 s, 5 pairs),
+whose distance queries label few nodes.
+"""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import inf
 
@@ -50,7 +62,10 @@ class TannerGraph:
             raise InvalidSpecError("graph needs at least one node per side")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64)
+        pairs = np.asarray(edges)
+        if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+            raise InvalidSpecError("edge endpoints must be integers")
+        pairs = pairs.astype(np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -143,19 +158,17 @@ def _pad_rows(ptr: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
 # -- the BFS kernel --------------------------------------------------------
 
 
-def _bfs_levels(steps, start, max_depth: int | None = None):
-    """Level-synchronous BFS from the nodes ``start``, one level per step.
+def _bfs_levels(g: TannerGraph, root: int, var_dist: np.ndarray, chk_dist: np.ndarray,
+                max_depth: int | None = None):
+    """Level-synchronous BFS over the bipartite graph from variable ``root``.
 
-    ``steps`` is a tuple of ``(adj, dist)`` pairs taken in turn, cycling:
-    level d is the set of rows of ``adj`` gathered from level d-1, for the
-    pair ``steps[(d - 1) % len(steps)]``, and its depths go into that
-    pair's ``dist``.  Each ``adj`` is a sentinel-padded table (see the
-    module docstring) and each ``dist`` holds one slot per node plus a
-    last slot for the sentinel.  The start nodes are of the kind the last
-    step labels, which is the kind the first step leaves from.  The call
-    itself, before any step, resets every ``dist``: -1 for every node,
-    the sentinel marked as seen and the start nodes at 0; each node
-    reached later gets its depth written in place.
+    Level d holds checks for odd d and variables for even d: it is
+    gathered from level d-1 through ``g.var_adj`` or ``g.chk_adj`` and its
+    depths go into ``chk_dist`` or ``var_dist``.  Each label array holds
+    one slot per node plus a last slot for the sentinel (see the module
+    docstring).  The call itself resets both: -1 for every node, the
+    sentinel marked as seen and the root at 0; each node reached later
+    gets its depth written in place.
 
     Returns a generator of ``(depth, nodes, merged)`` for depths
     1..max_depth: the nodes first reached at that depth in no particular
@@ -163,18 +176,18 @@ def _bfs_levels(steps, start, max_depth: int | None = None):
     the previous level.  It stops early at an empty level; the caller may
     stop sooner by leaving its loop.
     """
-    for _, dist in steps:
+    for dist in (var_dist, chk_dist):
         dist.fill(-1)
         dist[-1] = 0
-    start = np.asarray(start, dtype=np.int64)
-    steps[-1][1][start] = 0
-    return _bfs_steps(steps, start, max_depth)
+    var_dist[root] = 0
+    return _bfs_steps(((g.var_adj, chk_dist), (g.chk_adj, var_dist)),
+                      np.array([root], dtype=np.int64), max_depth)
 
 
 def _bfs_steps(steps, frontier, max_depth):
     depth = 0
     while max_depth is None or depth < max_depth:
-        adj, dist = steps[depth % len(steps)]
+        adj, dist = steps[depth % 2]
         depth += 1
         # take/compress: the same gathers as fancy and boolean indexing,
         # with less per-call overhead on the many small levels.
@@ -193,18 +206,12 @@ def _bfs_steps(steps, frontier, max_depth):
         yield depth, frontier, frontier.size < k
 
 
-def _var_levels(g: TannerGraph, root: int, var_dist: np.ndarray, chk_dist: np.ndarray,
-                max_depth: int | None = None):
-    """`_bfs_levels` over the bipartite graph from variable ``root``.
-
-    Checks come on odd depths and variables on even ones.
-    """
-    return _bfs_levels(((g.var_adj, chk_dist), (g.chk_adj, var_dist)), (root,), max_depth)
-
-
-def _check_var(g: TannerGraph, u: int) -> None:
-    if not 0 <= u < g.n_vars:
+def _var_index(g: TannerGraph, u) -> int:
+    """``u`` as a variable index of ``g``: any integer type, in range."""
+    index = operator.index(u)
+    if not 0 <= index < g.n_vars:
         raise IndexError(f"variable index {u} out of range")
+    return index
 
 
 def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
@@ -214,10 +221,10 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
     Returns ``(var_dist, chk_dist)`` int arrays with -1 for nodes not
     reached within ``max_depth``.
     """
-    _check_var(g, root)
+    root = _var_index(g, root)
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
-    for _ in _var_levels(g, root, var_dist, chk_dist, max_depth):
+    for _ in _bfs_levels(g, root, var_dist, chk_dist, max_depth):
         pass
     return var_dist[:-1], chk_dist[:-1]
 
@@ -236,8 +243,7 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
     length runs through the meeting node), and a search whose depth sum
     reaches ``max_depth`` without a meeting can stop.
     """
-    _check_var(g, vi)
-    _check_var(g, vj)
+    vi, vj = _var_index(g, vi), _var_index(g, vj)
     if vi == vj:
         return 0
     labels, levels = [], []
@@ -245,7 +251,7 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
         var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
         chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
         labels.append((var_dist, chk_dist))
-        levels.append(_var_levels(g, root, var_dist, chk_dist))
+        levels.append(_bfs_levels(g, root, var_dist, chk_dist))
     depth, width = [0, 0], [1, 1]
     while max_depth is None or depth[0] + depth[1] < max_depth:
         side = 0 if width[0] <= width[1] else 1
@@ -298,7 +304,7 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
     Nodes at distance exactly k are included.  The view is tree-like iff
     the induced edge count equals the induced node count minus one.
     """
-    _check_var(g, v)
+    v = _var_index(g, v)
     if k < 0:
         raise ValueError("depth must be >= 0")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=k)
@@ -385,13 +391,18 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     The search from a variable runs over checks only: it starts from the
     variable's checks (graph depth 1) and steps from each check ring to
     the next through a check-to-check table, one ring per two graph
-    levels.  It stops early at the first check ring, at depth 3 or more,
+    levels.  Each step marks the rows of the ring in a bool mask over
+    the checks, keeps the checks not reached before, and reads the next
+    ring from the mask, so every ring, and every candidate list made from
+    it, is in ascending order and the tie-break is the first least
+    degree (``argmin``).  It stops early at the first check ring, at depth 3 or more,
     that brings the count of reached checks below the ceiling up to the
     count of all such checks: that ring is the farthest one holding a
     candidate, so the pick is the same as after a full search.  When
-    every check below the ceiling is adjacent to the variable, or none is
-    left, the search runs to the end and the rule above applies
-    unchanged.
+    every check below the ceiling is adjacent to the variable, the search
+    runs to the end and the pick is made among the checks of its last
+    ring, which then are the farthest ones (see the proof in the code
+    that no check is left unreached there).
 
     When the variable's connected component holds fewer checks below the
     ceiling than the whole graph, no search is run.  The full search
@@ -400,9 +411,12 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     checks below the ceiling outside the component, so the pick is made
     among them directly.
     """
-    degrees = np.asarray(var_degrees, dtype=np.int64)
+    degrees = np.asarray(var_degrees)
     if degrees.shape != (n_vars,):
         raise ConstructionError("var_degrees must list one degree per variable")
+    if degrees.size and not np.issubdtype(degrees.dtype, np.integer):
+        raise ConstructionError("variable degrees must be integers")
+    degrees = degrees.astype(np.int64)
     if n_checks < 1:
         raise ConstructionError("need at least one check node")
     if degrees.size and (degrees.min() < 0 or degrees.max() > n_checks):
@@ -416,7 +430,7 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     chk_deg = np.zeros(n_checks, dtype=np.int64)
     is_open = np.ones(n_checks, dtype=bool)  # below the ceiling
     n_open = n_checks
-    # Sentinel-padded check-to-check table for `_bfs_levels`: row c lists,
+    # Sentinel-padded check-to-check table for the ring search: row c lists,
     # once per shared variable, each check that shares a variable with c.
     # A check of degree at most cap needs at most cap * (max_var_deg - 1)
     # slots, so the table grows only where the ceiling is waived; one
@@ -429,33 +443,55 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     # the number of open checks under each label.
     comp = np.arange(n_checks, dtype=np.int64)
     comp_open = np.ones(n_checks, dtype=np.int64)
-    chk_ids = np.arange(n_checks, dtype=np.int64)
-    chk_dist = np.empty(n_checks + 1, dtype=np.int64)
+    # Ring-search masks over the checks plus the sentinel slot: the checks
+    # not reached yet, and the next ring.
+    unseen = np.empty(n_checks + 1, dtype=bool)
+    mark = np.empty(n_checks + 1, dtype=bool)
 
     def pick(candidates: np.ndarray) -> int:
-        sub = chk_deg[candidates]
-        best = np.lexsort((candidates, sub))[0]
-        return int(candidates[best])
+        # Candidates come in ascending order, so the first least degree
+        # is the lowest index among the least degrees.
+        return int(candidates[chk_deg.take(candidates).argmin()])
 
     def far_check(own: np.ndarray) -> int:
         root = comp[own[0]]
         if comp_open[root] < n_open:
-            return pick(chk_ids[is_open & (comp != root)])
+            return pick(np.flatnonzero(is_open & (comp != root)))
+        unseen.fill(True)
+        unseen[own] = False
+        unseen[n_checks] = False
         reached_open = np.count_nonzero(is_open.take(own))
-        for _, ring, _ in _bfs_levels(((cc_adj, chk_dist),), own):
+        ring = own
+        while True:
+            mark.fill(False)
+            mark[cc_adj.take(ring, axis=0)] = True
+            np.logical_and(mark, unseen, out=mark)
+            next_ring = mark.nonzero()[0]
+            if not next_ring.size:
+                break
+            ring = next_ring
+            np.logical_xor(unseen, mark, out=unseen)
             ring_open = np.count_nonzero(is_open.take(ring))
             reached_open += ring_open
             if ring_open and reached_open == n_open:
                 return pick(ring.compress(is_open.take(ring)))
-        # Every open check is adjacent to the variable, or none is left:
-        # waive the ceiling, keep max distance.  The variable has fewer
-        # checks than its degree, at most n_checks, so the farthest check
-        # is not one of its own.
-        dist = chk_dist[:-1]
-        unreached = chk_ids[dist < 0]
-        if unreached.size:
-            return pick(unreached)
-        return pick(chk_ids[dist == dist.max()])
+        # Every open check is one of the variable's own: waive the ceiling
+        # and pick among the farthest checks, the last ring.  Unreached
+        # checks would count as farther still, but the search reaches every
+        # check that is not the variable's own.  Proof: some own check o is
+        # open, or the checks would hold n_checks * cap >= E edges with one
+        # still to place.  A check x that is not the variable's own is
+        # full; let u be the earlier variable whose edge raised x to cap.
+        # Then o had at most cap - 2 edges, as the variable's own edge into
+        # o came later, and x had cap - 1.  So that edge was no first edge,
+        # which goes to a least-degree check, and no waived-ceiling edge,
+        # whose open checks are all u's own.  A shortcut pick is a
+        # least-degree open check outside u's component, so o was inside
+        # it; a search runs only when u's component holds every open check.
+        # Either way x joined o's component, and components only merge.
+        # The variable has fewer checks than its degree, at most n_checks,
+        # so the last ring is not its own checks.
+        return pick(ring)
 
     order = np.lexsort((np.arange(n_vars), degrees))
     for v in order:
@@ -505,7 +541,7 @@ def girth(g: TannerGraph, cutoff: int | None = None) -> float:
     for root in range(g.n_vars):
         # Only depths with 2 * depth < best can improve on best.
         max_depth = None if best == inf else best // 2 - 1
-        for depth, _, merged in _var_levels(g, root, var_dist, chk_dist, max_depth):
+        for depth, _, merged in _bfs_levels(g, root, var_dist, chk_dist, max_depth):
             if merged:
                 best = 2 * depth
                 break

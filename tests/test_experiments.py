@@ -406,7 +406,8 @@ class TestCli:
             "trials": 4, "code": "ensemble", **changes})
         assert main(["validate", "--config", str(path)]) == 2
         out, err = capsys.readouterr()
-        assert "error:" in out + err
+        assert "error:" in err
+        assert "error:" not in out
         assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert "error:" in capsys.readouterr().err

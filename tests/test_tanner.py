@@ -194,6 +194,12 @@ class TestTannerGraph:
         with pytest.raises(InvalidSpecError):
             TannerGraph(2, 1, [(2, 0)])
 
+    def test_non_integer_endpoint_rejected(self):
+        with pytest.raises(InvalidSpecError, match="integers"):
+            TannerGraph(3, 2, [(0.5, 1)])
+        narrow = TannerGraph(3, 2, np.array([[0, 1], [2, 0]], dtype=np.int32))
+        assert narrow == TannerGraph(3, 2, [(0, 1), (2, 0)])
+
     def test_degrees_and_neighbors(self, tree_graph):
         assert tree_graph.n_edges == 12
         assert tree_graph.var_degrees[0] == 3
@@ -333,6 +339,18 @@ class TestDistances:
         for root in (-1, tree_graph.n_vars):
             with pytest.raises(IndexError):
                 bfs_distances(tree_graph, root)
+
+    @pytest.mark.parametrize("query", [
+        lambda g, u: [d.tolist() for d in bfs_distances(g, u, 2)],
+        lambda g, u: distance(g, u, 3),
+        lambda g, u: distance(g, 3, u),
+        lambda g, u: [lvl.tolist() for lvl in neighborhood(g, u, 2).levels],
+    ], ids=["bfs_distances", "distance-first", "distance-second", "neighborhood"])
+    def test_rejects_non_integer_variable(self, tree_graph, query):
+        for u in (2.5, 0.5, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                query(tree_graph, u)
+        assert query(tree_graph, np.int32(2)) == query(tree_graph, 2)
 
     def test_rejects_other_variables_out_of_range(self, tree_graph):
         for u in (-1, tree_graph.n_vars):
@@ -476,6 +494,12 @@ class TestPeg:
     def test_infeasible_degree_rejected(self):
         with pytest.raises(ConstructionError):
             peg_construct(2, [3, 3], 2)
+
+    def test_non_integer_degree_rejected(self):
+        with pytest.raises(ConstructionError, match="integers"):
+            peg_construct(3, [1.5, 1, 1], 2)
+        narrow = peg_construct(3, np.array([2, 1, 1], dtype=np.int32), 2)
+        assert narrow == peg_construct(3, [2, 1, 1], 2)
 
     def test_girth_beats_configuration_model(self):
         g_peg = peg_construct(504, [3] * 504, 378)
