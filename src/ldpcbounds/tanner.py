@@ -26,6 +26,7 @@ faster.  One dense loop for every search was tried and rejected: it
 slowed the `figure6-tail` benchmark (median 1.39 to 1.56 s, 5 pairs),
 whose distance queries label few nodes.
 """
+
 from __future__ import annotations
 
 import operator
@@ -65,7 +66,7 @@ class TannerGraph:
         pairs = np.asarray(edges)
         if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
             raise InvalidSpecError("edge endpoints must be integers")
-        pairs = pairs.astype(np.int64)
+        pairs = pairs.astype(np.int64, copy=False)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -394,15 +395,15 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     levels.  Each step marks the rows of the ring in a bool mask over
     the checks, keeps the checks not reached before, and reads the next
     ring from the mask, so every ring, and every candidate list made from
-    it, is in ascending order and the tie-break is the first least
-    degree (``argmin``).  It stops early at the first check ring, at depth 3 or more,
-    that brings the count of reached checks below the ceiling up to the
-    count of all such checks: that ring is the farthest one holding a
-    candidate, so the pick is the same as after a full search.  When
-    every check below the ceiling is adjacent to the variable, the search
-    runs to the end and the pick is made among the checks of its last
-    ring, which then are the farthest ones (see the proof in the code
-    that no check is left unreached there).
+    it, is in ascending order and the tie-break is the first least degree
+    (``argmin``).  The search stops early at the first check ring, at
+    depth 3 or more, that brings the count of reached checks below the
+    ceiling up to the count of all such checks: that ring is the farthest
+    one holding a candidate, so the pick is the same as after a full
+    search.  When every check below the ceiling is adjacent to the
+    variable, the search runs to the end and the pick is made among the
+    checks of its last ring, which are then the farthest ones: the proof
+    in the code shows that no check is left unreached there.
 
     When the variable's connected component holds fewer checks below the
     ceiling than the whole graph, no search is run.  The full search
@@ -485,12 +486,12 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
         # Then o had at most cap - 2 edges, as the variable's own edge into
         # o came later, and x had cap - 1.  So that edge was no first edge,
         # which goes to a least-degree check, and no waived-ceiling edge,
-        # whose open checks are all u's own.  A shortcut pick is a
-        # least-degree open check outside u's component, so o was inside
-        # it; a search runs only when u's component holds every open check.
-        # Either way x joined o's component, and components only merge.
-        # The variable has fewer checks than its degree, at most n_checks,
-        # so the last ring is not its own checks.
+        # which comes only when every open check, x too, is u's own.  A
+        # shortcut pick is a least-degree open check outside u's component,
+        # so o was inside it; a search runs only when u's component holds
+        # every open check.  Either way x joined o's component, and
+        # components only merge.  The variable has fewer checks than its
+        # degree, at most n_checks, so the last ring is not its own checks.
         return pick(ring)
 
     order = np.lexsort((np.arange(n_vars), degrees))
