@@ -18,13 +18,14 @@ two searches meet.
 The ring search of `peg_construct` has its own loop, over two bool masks
 of one slot per check, stepping through a check-to-check table.  A PEG
 search labels nearly every check: at N=5400 the (3,4) code takes 6,751
-searches of 9.6 levels on average, and each labels about 4,047 of the
+searches of 9.6 levels on average, and each labels about 4,048 of the
 4,050 checks.  There, clearing a dense mask and reading the next ring
 back with ``nonzero``, already in ascending order, takes fewer numpy calls
-per level than the dedupe, and the whole construction runs about 1.4x
-faster.  One dense loop for every search was tried and rejected: it
-slowed the `figure6-tail` benchmark (median 1.39 to 1.56 s, 5 pairs),
-whose distance queries label few nodes.
+per level than the dedupe: on a 2-core host the construction ran 1.58x
+faster for that code and 1.37x for the `figure6` degrees at N=3000
+(medians of 10 alternating runs).  One dense loop for every search was
+tried and rejected: it slowed the `figure6-tail` benchmark (median 1.39
+to 1.56 s, 5 pairs), whose distance queries label few nodes.
 """
 
 from __future__ import annotations
@@ -476,8 +477,10 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
             reached_open += ring_open
             if ring_open and reached_open == n_open:
                 return pick(ring.compress(is_open.take(ring)))
-        # Every open check is one of the variable's own: waive the ceiling
-        # and pick among the farthest checks, the last ring.  Unreached
+        # The search ran to the end of a component that holds every open
+        # check (the shortcut above sees to that), so every open check is
+        # one of the variable's own: waive the ceiling and pick among the
+        # farthest checks, the last ring.  Unreached
         # checks would count as farther still, but the search reaches every
         # check that is not the variable's own.  Proof: some own check o is
         # open, or the checks would hold n_checks * cap >= E edges with one
@@ -492,6 +495,10 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
         # every open check.  Either way x joined o's component, and
         # components only merge.  The variable has fewer checks than its
         # degree, at most n_checks, so the last ring is not its own checks.
+        # No input is known where the last ring holds a different pick
+        # than all the checks that are not the variable's own; searches
+        # over small and dense-tailed degree lists found every such check
+        # one ring away, so no test tells the two rules apart.
         return pick(ring)
 
     order = np.lexsort((np.arange(n_vars), degrees))
