@@ -480,21 +480,21 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
         # The search ran to the end of a component that holds every open
         # check (the shortcut above sees to that), so every open check is
         # one of the variable's own: waive the ceiling and pick among the
-        # farthest checks, the last ring.  Unreached
-        # checks would count as farther still, but the search reaches every
-        # check that is not the variable's own.  Proof: some own check o is
-        # open, or the checks would hold n_checks * cap >= E edges with one
-        # still to place.  A check x that is not the variable's own is
-        # full; let u be the earlier variable whose edge raised x to cap.
-        # Then o had at most cap - 2 edges, as the variable's own edge into
-        # o came later, and x had cap - 1.  So that edge was no first edge,
-        # which goes to a least-degree check, and no waived-ceiling edge,
-        # which comes only when every open check, x too, is u's own.  A
-        # shortcut pick is a least-degree open check outside u's component,
-        # so o was inside it; a search runs only when u's component holds
-        # every open check.  Either way x joined o's component, and
-        # components only merge.  The variable has fewer checks than its
-        # degree, at most n_checks, so the last ring is not its own checks.
+        # farthest checks, the last ring.  Unreached checks would count as
+        # farther still, but the search reaches every check that is not
+        # the variable's own.  Proof: some own check o is open, or the
+        # checks would hold n_checks * cap >= E edges with one still to
+        # place.  A check x that is not the variable's own is full; let u
+        # be the earlier variable whose edge raised x to cap.  Then o had
+        # at most cap - 2 edges, as the variable's own edge into o came
+        # later, and x had cap - 1.  So that edge was no first edge, which
+        # goes to a least-degree check, and no waived-ceiling edge, which
+        # comes only when every open check, x too, is u's own.  A shortcut
+        # pick is a least-degree open check outside u's component, so o
+        # was inside it; a search runs only when u's component holds every
+        # open check.  Either way x joined o's component, and components
+        # only merge.  The variable has fewer checks than its degree, at
+        # most n_checks, so the last ring is not its own checks.
         # No input is known where the last ring holds a different pick
         # than all the checks that are not the variable's own; searches
         # over small and dense-tailed degree lists found every such check
