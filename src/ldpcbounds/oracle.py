@@ -7,12 +7,17 @@ that check's full neighbor set.  Repeated occurrences of a variable in
 the unrolled message-passing tree are identified, i.e. they share one
 GF(2) variable.  The oracle enumerates the affine solution set with the
 root pinned to 1 and returns the minimum Hamming weight, guarded by a
-free-dimension cap.
+free-dimension cap.  One Gauss-Jordan pass gives the particular solution
+and the null-space basis.
 
 A complementary backtracking search looks for the structured subtree
 whose all-ones assignment is a valid local codeword: every internal
 variable keeps all its neighbors, every internal check has exactly one
 parent and one child, and leaf checks hang off exactly one tree node.
+The search chooses one child per check and claims the child's checks on
+the next level when it chooses it (forward checking), so a choice that
+would give a check two parents is skipped at once, not found a level
+later; the claims are released on backtrack.
 """
 
 from __future__ import annotations
@@ -53,24 +58,23 @@ def local_system(g: TannerGraph, v: int, iterations: int) -> Gf2System:
 
     Variables are the distinct variable nodes within distance 2l; rows
     come from checks within distance 2l-1, each over its full neighbor
-    set (bipartite parity keeps those neighbors inside the window).
+    set (bipartite parity keeps those neighbors inside the window).  A
+    BFS cut at depth 2l labels exactly these nodes: checks sit at odd
+    depths, so every labelled check is within 2l-1.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    depth = 2 * iterations
-    var_dist, chk_dist = bfs_distances(g, v, max_depth=depth)
-    var_ids = np.flatnonzero((var_dist >= 0) & (var_dist <= depth))
-    ordered = [int(v)] + [int(u) for u in var_ids if u != v]
-    local = {u: i for i, u in enumerate(ordered)}
-    rows = []
-    checks = []
-    chk_ids = np.flatnonzero((chk_dist >= 0) & (chk_dist <= depth - 1))
-    for c in chk_ids:
-        nbrs = g.check_neighbors(int(c))
-        rows.append(tuple(sorted(local[int(u)] for u in nbrs)))
-        checks.append(int(c))
-    return Gf2System(variables=tuple(ordered), rows=tuple(rows),
-                     checks=tuple(checks), root_local=0)
+    var_dist, chk_dist = bfs_distances(g, v, max_depth=2 * iterations)
+    variables = np.concatenate(([v], np.flatnonzero(var_dist > 0)))  # root first
+    # Local index per graph variable; the sentinel slot of ``chk_adj``
+    # maps past every local index, so it sorts last in each row.
+    local = np.full(g.n_vars + 1, g.n_vars, dtype=np.int64)
+    local[variables] = np.arange(variables.size)
+    checks = np.flatnonzero(chk_dist >= 0)
+    table = np.sort(local.take(g.chk_adj.take(checks, axis=0)), axis=1).tolist()
+    rows = tuple(tuple(row[:d]) for row, d in zip(table, g.check_degrees.take(checks).tolist()))
+    return Gf2System(variables=tuple(variables.tolist()), rows=rows,
+                     checks=tuple(checks.tolist()), root_local=0)
 
 
 def _solve_affine(sys: Gf2System) -> tuple[int, list[int]] | None:
@@ -78,52 +82,33 @@ def _solve_affine(sys: Gf2System) -> tuple[int, list[int]] | None:
 
     Solutions are bitmask ints over local variable indices.  Returns
     None when pinning the root to 1 is inconsistent.
-    """
-    rows: list[tuple[int, int]] = []
-    for r in sys.rows:
-        mask = 0
-        for i in r:
-            mask |= 1 << i
-        rows.append((mask, 0))
-    rows.append((1 << sys.root_local, 1))
 
+    One Gauss-Jordan pass: each row, the parity rows and then the root
+    row, is reduced against the kept pivot rows, pivoted at its lowest
+    set bit, and that column is cleared from the kept rows.  Each kept
+    row's lowest bit stays its pivot, so the pivots are the lowest bits
+    of the row space and the kept rows are its unique reduced echelon
+    form: each carries only free columns besides its own pivot.
+    """
     pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
-        while mask:
-            col = (mask & -mask).bit_length() - 1
-            if col in pivots:
-                pmask, prhs = pivots[col]
+    rows = [(sum(1 << i for i in r), 0) for r in sys.rows]
+    for mask, rhs in rows + [(1 << sys.root_local, 1)]:
+        for col, (pmask, prhs) in pivots.items():
+            if mask >> col & 1:
                 mask ^= pmask
                 rhs ^= prhs
-            else:
-                pivots[col] = (mask, rhs)
-                break
-        if mask == 0 and rhs == 1:
-            return None
-
-    # Back-substitution to reduced form: each pivot row may only carry
-    # free columns besides its own pivot.
-    for col in sorted(pivots, reverse=True):
-        mask, rhs = pivots[col]
-        for col2 in sorted(pivots):
-            if col2 != col and (mask >> col2) & 1:
-                m2, r2 = pivots[col2]
-                mask ^= m2
-                rhs ^= r2
+        if not mask:
+            if rhs:
+                return None
+            continue
+        col = (mask & -mask).bit_length() - 1
+        for c, (pmask, prhs) in pivots.items():
+            if pmask >> col & 1:
+                pivots[c] = (pmask ^ mask, prhs ^ rhs)
         pivots[col] = (mask, rhs)
-
-    particular = 0
-    for col, (_, rhs) in pivots.items():
-        if rhs:
-            particular |= 1 << col
-    free_cols = [i for i in range(sys.n_variables) if i not in pivots]
-    basis = []
-    for f in free_cols:
-        vec = 1 << f
-        for col, (mask, _) in pivots.items():
-            if (mask >> f) & 1:
-                vec |= 1 << col
-        basis.append(vec)
+    particular = sum(1 << col for col, (_, rhs) in pivots.items() if rhs)
+    basis = [sum(1 << col for col, (mask, _) in pivots.items() if mask >> f & 1) | 1 << f
+             for f in range(sys.n_variables) if f not in pivots]
     return particular, basis
 
 
@@ -194,61 +179,61 @@ def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | No
     """Backtracking search for a weight-carrying subtree rooted at v.
 
     Level by level: each chosen variable pulls in all its checks one
-    level down; checks below the leaf level each pick exactly one child
-    variable whose only upward neighbor is that check; collisions where
-    two tree nodes would share a check abort the branch.  Returns None
-    when no such subtree of full height exists.
+    level down, and checks below the leaf level each pick exactly one
+    child variable whose only upward neighbor is that check.  A level
+    fails at once when it has no checks or some check has no candidate
+    child.  Children are chosen check by check, in neighbor order, and a
+    chosen child claims its own down-checks: a candidate whose
+    down-checks are already claimed would give a check two parents, so
+    it is skipped, and the claims are released on backtrack.  Returns
+    the first subtree of full height in that order, or None when none
+    exists.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     height = 2 * iterations + 1
-    var_dist, chk_dist = bfs_distances(g, v, max_depth=height)
+    var_dist, chk_dist = (d.tolist() for d in bfs_distances(g, v, max_depth=height))
 
-    def down_checks(u: int, level: int) -> list[int]:
-        return [int(c) for c in g.var_neighbors(u) if chk_dist[c] == level + 1]
+    def checks_at(u: int, depth: int) -> list[int]:
+        return [c for c in g.var_neighbors(u).tolist() if chk_dist[c] == depth]
 
-    def up_checks(u: int, level: int) -> list[int]:
-        return [int(c) for c in g.var_neighbors(u) if chk_dist[c] == level - 1]
-
-    def extend(levels: list[tuple[int, ...]], t: int) -> list[tuple[int, ...]] | None:
-        vars_here = levels[-1]
-        checks: list[int] = []
-        seen: set[int] = set()
-        for u in vars_here:
-            for c in down_checks(u, 2 * t):
-                if c in seen:
-                    return None  # a shared check would get two parents
-                seen.add(c)
-                checks.append(c)
-        if 2 * t + 1 == height:
-            return levels + [tuple(checks)]
+    def grow(levels: list[tuple[int, ...]], checks: list[int]) -> list[tuple[int, ...]] | None:
+        levels = levels + [tuple(checks)]
+        depth = len(levels)  # of the children to choose
+        if depth > height:
+            return levels
         if not checks:
             return None  # the subtree must reach full height
-        candidates: list[list[int]] = []
+        options = []
         for c in checks:
-            options = [
-                int(u) for u in g.check_neighbors(c)
-                if var_dist[u] == 2 * t + 2 and up_checks(int(u), 2 * t + 2) == [c]
-            ]
-            if not options:
+            children = [u for u in g.check_neighbors(c).tolist()
+                        if var_dist[u] == depth and checks_at(u, depth - 1) == [c]]
+            if not children:
                 return None
-            candidates.append(options)
+            options.append(children)
+        chosen: list[tuple[int, list[int]]] = []
+        claimed: set[int] = set()
 
-        def assign(idx: int, chosen: list[int]) -> list[tuple[int, ...]] | None:
-            if idx == len(checks):
-                return extend(levels + [tuple(checks), tuple(chosen)], t + 1)
-            for u in candidates[idx]:
-                result = assign(idx + 1, chosen + [u])
-                if result is not None:
-                    return result
+        def choose(i: int) -> list[tuple[int, ...]] | None:
+            if i == len(options):
+                return grow(levels + [tuple(u for u, _ in chosen)],
+                            [c for _, below in chosen for c in below])
+            for u in options[i]:
+                below = checks_at(u, depth + 1)
+                if claimed.isdisjoint(below):
+                    claimed.update(below)
+                    chosen.append((u, below))
+                    found = choose(i + 1)
+                    if found is not None:
+                        return found
+                    chosen.pop()
+                    claimed.difference_update(below)
             return None
 
-        return assign(0, [])
+        return choose(0)
 
-    result = extend([(int(v),)], 0)
-    if result is None:
-        return None
-    return ValidTree(levels=tuple(result))
+    result = grow([(int(v),)], checks_at(v, 1))
+    return None if result is None else ValidTree(levels=tuple(result))
 
 
 # -- ensemble Monte Carlo ---------------------------------------------------

@@ -1,11 +1,14 @@
 """Tanner graphs: construction, sampling, and distance queries.
 
-Graphs are immutable after construction and precompute edge-indexed CSR
-layouts for message passing.  Breadth-first search runs in two
-level-synchronous loops over sentinel-padded tables: row u of ``var_adj``
-lists the checks of variable u padded with the id ``n_checks``, row c of
-``chk_adj`` lists the variables of check c padded with ``n_vars``, and
-each label array or mask keeps one extra slot for the sentinel, which is
+Graphs are immutable after construction.  They keep the canonical edge
+list (``edge_var``, ``edge_chk``), which BP scatters over with
+``bincount``, and one adjacency layout, two sentinel-padded tables: row u
+of ``var_adj`` lists the checks of variable u in ascending order padded
+with the id ``n_checks``, and row c of ``chk_adj`` lists the variables of
+check c padded with ``n_vars``.  Each table has one more all-sentinel row.
+Neighbor lists are the first degree-many entries of a row.  Breadth-first
+search runs in two level-synchronous loops over these tables, and each
+label array or mask keeps one extra slot for the sentinel, which is
 always marked as seen.
 
 `_bfs_levels` serves the queries on a finished graph (`bfs_distances`,
@@ -60,6 +63,8 @@ class TannerGraph:
     """
 
     def __init__(self, n_vars: int, n_checks: int, edges):
+        n_vars = _node_count(n_vars, InvalidSpecError)
+        n_checks = _node_count(n_checks, InvalidSpecError)
         if n_vars < 1 or n_checks < 1:
             raise InvalidSpecError("graph needs at least one node per side")
         if not isinstance(edges, np.ndarray):
@@ -80,42 +85,40 @@ class TannerGraph:
         if key.size and np.any(np.diff(key) == 0):
             raise InvalidSpecError("parallel edges are not allowed")
 
-        self.n_vars = int(n_vars)
-        self.n_checks = int(n_checks)
+        self.n_vars = n_vars
+        self.n_checks = n_checks
         self.edge_chk, self.edge_var = np.divmod(key, n_vars)
         self.n_edges = int(key.size)
 
-        # Check-side CSR follows canonical edge order directly.
-        self.chk_ptr = _csr_ptr(self.edge_chk, n_checks)
-
-        # Variable-side CSR permutes edge ids into (var, check) order.  The
-        # (var, check) keys are unique, so any sort of them gives the one
-        # permutation that keeps each variable's edges in check order.
-        self.var_ptr = _csr_ptr(self.edge_var, n_vars)
-        self.var_edge = np.argsort(self.edge_var * n_checks + self.edge_chk)
-
-        # Sentinel-padded tables for `_bfs_levels`.
-        self.var_adj = _pad_rows(self.var_ptr, self.edge_chk[self.var_edge], self.n_checks)
-        self.chk_adj = _pad_rows(self.chk_ptr, self.edge_var, self.n_vars)
+        # Canonical order lists each check's variables in ascending order;
+        # sorting the unique (var, check) keys lists each variable's checks.
+        self._var_deg = np.bincount(self.edge_var, minlength=n_vars)
+        self._chk_deg = np.bincount(self.edge_chk, minlength=n_checks)
+        by_var = np.sort(self.edge_var * n_checks + self.edge_chk) % n_checks
+        self.var_adj = _pad_rows(self._var_deg, by_var, n_checks)
+        self.chk_adj = _pad_rows(self._chk_deg, self.edge_var, n_vars)
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def var_degrees(self) -> np.ndarray:
-        return np.diff(self.var_ptr)
+        return self._var_deg.copy()
 
     @property
     def check_degrees(self) -> np.ndarray:
-        return np.diff(self.chk_ptr)
+        return self._chk_deg.copy()
 
     def var_neighbors(self, v: int) -> np.ndarray:
-        """Check nodes adjacent to variable v."""
-        e = self.var_edge[self.var_ptr[v]:self.var_ptr[v + 1]]
-        return self.edge_chk[e]
+        """Check nodes adjacent to variable v, in ascending order."""
+        if not 0 <= v < self.n_vars:  # row n_vars and row -1 are the sentinel row
+            raise IndexError(f"variable index {v} out of range")
+        return self.var_adj[v, :self._var_deg[v]]
 
     def check_neighbors(self, c: int) -> np.ndarray:
-        """Variable nodes adjacent to check c."""
-        return self.edge_var[self.chk_ptr[c]:self.chk_ptr[c + 1]]
+        """Variable nodes adjacent to check c, in ascending order."""
+        if not 0 <= c < self.n_checks:
+            raise IndexError(f"check index {c} out of range")
+        return self.chk_adj[c, :self._chk_deg[c]]
 
     def edges(self) -> np.ndarray:
         """Canonical (var, check) edge array, shape (E, 2)."""
@@ -141,16 +144,17 @@ class TannerGraph:
         )
 
 
-def _csr_ptr(ids: np.ndarray, size: int) -> np.ndarray:
-    """Row pointers of a CSR layout whose rows hold ``bincount(ids)`` entries."""
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=size), out=ptr[1:])
-    return ptr
+def _node_count(value, error: type[Exception]) -> int:
+    """``value`` as a node count: any integer type, else ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"node counts must be integers, got {value!r}") from None
 
 
-def _pad_rows(ptr: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
-    """CSR rows as a table padded with ``sentinel``, plus one all-sentinel row."""
-    deg = np.diff(ptr)
+def _pad_rows(deg: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
+    """Rows of ``deg`` entries each, taken in turn from ``data``, as a table
+    padded with ``sentinel``, plus one all-sentinel row."""
     width = max(int(deg.max(initial=0)), 1)
     table = np.full((deg.size + 1, width), sentinel, dtype=np.int64)
     table[:-1][np.arange(width) < deg[:, None]] = data
@@ -413,6 +417,8 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     checks below the ceiling outside the component, so the pick is made
     among them directly.
     """
+    n_vars = _node_count(n_vars, ConstructionError)
+    n_checks = _node_count(n_checks, ConstructionError)
     degrees = np.asarray(var_degrees)
     if degrees.shape != (n_vars,):
         raise ConstructionError("var_degrees must list one degree per variable")

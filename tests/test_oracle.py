@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcbounds import (CapacityError, DegreeDistribution, EnsembleSpec,
                         TannerGraph, expected_min_weight_mc, local_system,
                         min_weight_root_one, neighborhood, sample_graph,
                         valid_tree_counts, valid_tree_prob_lower,
                         valid_tree_search)
+from ldpcbounds.oracle import Gf2System, ValidTree, _solve_affine
+from ldpcbounds.tanner import bfs_distances
 
 
 def brute_force_min_weight(system):
@@ -22,7 +26,183 @@ def brute_force_min_weight(system):
     return best
 
 
+# -- reference implementations --------------------------------------------
+# Plain versions of the oracle's three parts: a dict-indexed window, a
+# forward-pass solver with back-substitution, and a tree search over the
+# Cartesian product of child choices that finds a shared check one level
+# later.  The differential tests require the oracle to return exactly
+# what these return.
+
+
+def reference_local_system(g, v, iterations):
+    depth = 2 * iterations
+    var_dist, chk_dist = bfs_distances(g, v, max_depth=depth)
+    var_ids = np.flatnonzero((var_dist >= 0) & (var_dist <= depth))
+    ordered = [int(v)] + [int(u) for u in var_ids if u != v]
+    local = {u: i for i, u in enumerate(ordered)}
+    rows = []
+    checks = []
+    chk_ids = np.flatnonzero((chk_dist >= 0) & (chk_dist <= depth - 1))
+    for c in chk_ids:
+        nbrs = g.check_neighbors(int(c))
+        rows.append(tuple(sorted(local[int(u)] for u in nbrs)))
+        checks.append(int(c))
+    return Gf2System(variables=tuple(ordered), rows=tuple(rows),
+                     checks=tuple(checks), root_local=0)
+
+
+def reference_solve_affine(sys):
+    rows = []
+    for r in sys.rows:
+        mask = 0
+        for i in r:
+            mask |= 1 << i
+        rows.append((mask, 0))
+    rows.append((1 << sys.root_local, 1))
+
+    pivots = {}
+    for mask, rhs in rows:
+        while mask:
+            col = (mask & -mask).bit_length() - 1
+            if col in pivots:
+                pmask, prhs = pivots[col]
+                mask ^= pmask
+                rhs ^= prhs
+            else:
+                pivots[col] = (mask, rhs)
+                break
+        if mask == 0 and rhs == 1:
+            return None
+
+    for col in sorted(pivots, reverse=True):
+        mask, rhs = pivots[col]
+        for col2 in sorted(pivots):
+            if col2 != col and (mask >> col2) & 1:
+                m2, r2 = pivots[col2]
+                mask ^= m2
+                rhs ^= r2
+        pivots[col] = (mask, rhs)
+
+    particular = 0
+    for col, (_, rhs) in pivots.items():
+        if rhs:
+            particular |= 1 << col
+    free_cols = [i for i in range(sys.n_variables) if i not in pivots]
+    basis = []
+    for f in free_cols:
+        vec = 1 << f
+        for col, (mask, _) in pivots.items():
+            if (mask >> f) & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return particular, basis
+
+
+def reference_valid_tree_search(g, v, iterations):
+    height = 2 * iterations + 1
+    var_dist, chk_dist = bfs_distances(g, v, max_depth=height)
+
+    def down_checks(u, level):
+        return [int(c) for c in g.var_neighbors(u) if chk_dist[c] == level + 1]
+
+    def up_checks(u, level):
+        return [int(c) for c in g.var_neighbors(u) if chk_dist[c] == level - 1]
+
+    def extend(levels, t):
+        vars_here = levels[-1]
+        checks = []
+        seen = set()
+        for u in vars_here:
+            for c in down_checks(u, 2 * t):
+                if c in seen:
+                    return None
+                seen.add(c)
+                checks.append(c)
+        if 2 * t + 1 == height:
+            return levels + [tuple(checks)]
+        if not checks:
+            return None
+        candidates = []
+        for c in checks:
+            options = [
+                int(u) for u in g.check_neighbors(c)
+                if var_dist[u] == 2 * t + 2 and up_checks(int(u), 2 * t + 2) == [c]
+            ]
+            if not options:
+                return None
+            candidates.append(options)
+
+        def assign(idx, chosen):
+            if idx == len(checks):
+                return extend(levels + [tuple(checks), tuple(chosen)], t + 1)
+            for u in candidates[idx]:
+                result = assign(idx + 1, chosen + [u])
+                if result is not None:
+                    return result
+            return None
+
+        return assign(0, [])
+
+    result = extend([(int(v),)], 0)
+    if result is None:
+        return None
+    return ValidTree(levels=tuple(result))
+
+
+@st.composite
+def small_graphs(draw):
+    """Random sparse graphs, each variable on at most four checks: degree-0
+    and degree-1 nodes on both sides, and enough structure for the tree
+    search to backtrack past a claim."""
+    n = draw(st.integers(1, 24))
+    m = draw(st.integers(1, 16))
+    checks = draw(st.lists(st.sets(st.integers(0, m - 1), max_size=4), min_size=n, max_size=n))
+    return TannerGraph(n, m, [(u, c) for u, cs in enumerate(checks) for c in cs])
+
+
+def assert_matches_reference(g, v, iterations):
+    system = local_system(g, v, iterations)
+    assert system == reference_local_system(g, v, iterations)
+    assert _solve_affine(system) == reference_solve_affine(system)
+    assert valid_tree_search(g, v, iterations) == reference_valid_tree_search(g, v, iterations)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_random_small_graphs(self, g, data):
+        v = data.draw(st.integers(0, g.n_vars - 1))
+        for iterations in range(4):
+            assert_matches_reference(g, v, iterations)
+
+    @pytest.mark.parametrize("n_vars", [16, 28, 40, 100])
+    def test_sampled_regular_graphs(self, n_vars):
+        spec = EnsembleSpec(n_vars, DegreeDistribution.regular(3),
+                            DegreeDistribution.regular(4))
+        for seed in range(4):
+            g = sample_graph(spec, seed)
+            for v in range(0, n_vars, max(1, n_vars // 8)):
+                for iterations in (1, 2, 3):
+                    assert_matches_reference(g, v, iterations)
+
+    def test_sampled_regular_graph_at_900(self, spec34_900):
+        g = sample_graph(spec34_900, 53)
+        for v in range(0, 900, 75):
+            assert_matches_reference(g, v, 2)
+
+
 class TestLocalSystem:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_window_is_the_neighborhood(self, g, data):
+        v = data.draw(st.integers(0, g.n_vars - 1))
+        iterations = data.draw(st.integers(0, 3))
+        system = local_system(g, v, iterations)
+        view = neighborhood(g, v, 2 * iterations)
+        assert system.variables[0] == v
+        assert sorted(system.variables) == sorted(view.variables().tolist())
+        assert list(system.checks) == sorted(view.check_nodes().tolist())
+
     def test_depth_zero(self, tree_graph):
         sys0 = local_system(tree_graph, 0, 0)
         assert sys0.n_variables == 1

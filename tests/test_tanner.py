@@ -43,7 +43,7 @@ def reference_distance(g, vi, vj):
 
 
 def reference_bfs(g, root, max_depth=None):
-    """Level-by-level list BFS over the CSR accessors, stopping at ``max_depth``."""
+    """Level-by-level list BFS over the neighbor accessors, stopping at ``max_depth``."""
     var_dist = [-1] * g.n_vars
     chk_dist = [-1] * g.n_checks
     var_dist[root] = 0
@@ -200,12 +200,28 @@ class TestTannerGraph:
         narrow = TannerGraph(3, 2, np.array([[0, 1], [2, 0]], dtype=np.int32))
         assert narrow == TannerGraph(3, 2, [(0, 1), (2, 0)])
 
+    @pytest.mark.parametrize("n_vars, n_checks", [(3.0, 2), (3, 2.0), ("3", 2)])
+    def test_non_integer_node_count_rejected(self, n_vars, n_checks):
+        with pytest.raises(InvalidSpecError, match="integers"):
+            TannerGraph(n_vars, n_checks, [(0, 0), (2, 1)])
+
+    def test_numpy_integer_node_counts(self):
+        g = TannerGraph(np.int32(3), np.uint8(2), [(0, 0), (2, 1)])
+        assert g == TannerGraph(3, 2, [(0, 0), (2, 1)])
+        assert type(g.n_vars) is int and type(g.n_checks) is int
+
     def test_degrees_and_neighbors(self, tree_graph):
         assert tree_graph.n_edges == 12
         assert tree_graph.var_degrees[0] == 3
         assert (tree_graph.check_degrees == 4).all()
         assert sorted(tree_graph.check_neighbors(1)) == [0, 4, 5, 6]
         assert sorted(tree_graph.var_neighbors(0)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("accessor, index", [("var_neighbors", -1), ("var_neighbors", 10),
+                                                 ("check_neighbors", -1), ("check_neighbors", 3)])
+    def test_neighbors_reject_index_out_of_range(self, tree_graph, accessor, index):
+        with pytest.raises(IndexError):
+            getattr(tree_graph, accessor)(index)
 
     def test_edge_count_matches_degree_sums(self, tree_graph):
         assert tree_graph.var_degrees.sum() == tree_graph.n_edges
@@ -500,6 +516,14 @@ class TestPeg:
             peg_construct(3, [1.5, 1, 1], 2)
         narrow = peg_construct(3, np.array([2, 1, 1], dtype=np.int32), 2)
         assert narrow == peg_construct(3, [2, 1, 1], 2)
+
+    @pytest.mark.parametrize("n_vars, n_checks", [(3, 2.5), (3.0, 2), (3, None)])
+    def test_non_integer_node_count_rejected(self, n_vars, n_checks):
+        with pytest.raises(ConstructionError, match="integers"):
+            peg_construct(n_vars, [1, 1, 1], n_checks)
+
+    def test_numpy_integer_node_counts(self):
+        assert peg_construct(np.int64(3), [1, 1, 1], np.int16(2)) == peg_construct(3, [1, 1, 1], 2)
 
     def test_girth_beats_configuration_model(self):
         g_peg = peg_construct(504, [3] * 504, 378)
