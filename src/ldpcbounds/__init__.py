@@ -18,7 +18,7 @@ from .tanner import (NeighborhoodView, TannerGraph, distance, girth,
                      sample_graph_with_attempts)
 from .alist import load_alist, save_alist
 from .bp import DecodeResult, bec_unresolved, bp_marginals, bp_step, c2v_update, \
-    decode, v2c_update
+    decode, float_bp, v2c_update
 from .simulate import BerEstimate, estimate_ber, estimate_ber_curve
 from .density_evolution import DeTrace, de_bec, ga_awgn, phi_approx, phi_inverse, \
     q_function

@@ -5,10 +5,32 @@ previous check-to-variable messages, then every check-to-variable
 message from those fresh variable-to-check messages.  Marginals after l
 iterations combine the channel LLR with the iteration-l check messages.
 
-``decode`` runs the float tanh rule and is the decoder for the BSC and
-BI-AWGN.  It takes finite LLRs only.  Check messages are capped at
-+/-50, so every message and marginal stays finite; a check with no
-other input sends +50, as any other certain check does.
+``float_bp`` runs the float tanh rule (Kschischang, Frey & Loeliger,
+IEEE Trans. IT 47(2), 2001) and is the decoder for the BSC and BI-AWGN;
+``decode`` and the Monte Carlo harness both take its marginals.  It
+takes finite LLRs only.  Check messages are capped at +/-50, so every
+message and marginal stays finite; a check with no other input sends
++50, as any other certain check does.
+
+Messages live in the check-column layout of ``TannerGraph.chk_cols``: a
+``(w, n_checks + 1)`` array whose slot (j, c) holds the j-th edge of
+check c, w being the largest check degree.  A per-check sum is then a
+loop over w contiguous rows, and the result broadcasts back over the
+rows.  Padding slots, and the sentinel column, read the marginal +inf
+of the sentinel variable, so their variable-to-check message is +inf:
+tanh gives 1, log gives 0, and the slot counts as neither zero nor
+negative.  A marginal gathers its check messages through
+``TannerGraph.var_slots``; its padding reads the sentinel column, which
+is held at 0.
+
+Summation order is part of the output.  Each check adds its logs row by
+row, in edge order, starting from 0.0; each variable adds its check
+messages in ascending check order, starting from 0.0, and then the
+channel LLR.  This is the order of a ``bincount`` over the canonical
+edge list, so the float results are those of the edge-ordered kernel
+that this layout replaced, bit for bit.  The edge-ordered functions
+(``bp_step``, ``c2v_update``, ``v2c_update``, ``bp_marginals``) are
+adapters over the same kernel.
 
 On the erasure channel every message is either erased or certainly
 right, so the same flooding schedule reduces to erasure counting
@@ -29,19 +51,100 @@ from .tanner import TannerGraph
 LLR_CLAMP = 50.0
 
 
-def _scatter(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    # bincount returns int64 zeros for an empty index, even with weights.
-    return np.bincount(index, weights=values, minlength=size).astype(np.float64, copy=False)
+# -- the kernel, in the check-column layout ---------------------------------
+
+
+def _marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
+    """Posterior LLRs from check-column messages, plus the sentinel's +inf."""
+    marginals = np.zeros(g.n_vars + 1)
+    total = marginals[:-1]
+    flat = c2v.reshape(-1)
+    for slots in g.var_slots:
+        total += flat.take(slots)
+    total += llr
+    marginals[-1] = np.inf
+    return marginals
+
+
+def _check_update(v2c: np.ndarray) -> np.ndarray:
+    """``c2v_update`` on check-column messages, in place on one buffer
+    after the first ``abs``."""
+    negative = v2c < 0.0
+    t = np.abs(v2c)
+    np.minimum(t, LLR_CLAMP, out=t)
+    t *= 0.5  # the same bits as t / 2, and faster
+    np.tanh(t, out=t)
+    zero = t == 0.0
+    np.copyto(t, 1.0, where=zero)
+    log_t = np.log(t, out=t)
+
+    log_sum = np.zeros(v2c.shape[1])
+    zeros = np.zeros(v2c.shape[1], dtype=np.min_scalar_type(len(v2c)))
+    odd = np.zeros(v2c.shape[1], dtype=bool)
+    for row_log, row_zero, row_negative in zip(log_t, zero, negative):
+        log_sum += row_log
+        zeros += row_zero
+        odd ^= row_negative
+
+    out = np.subtract(log_sum, log_t, out=log_t)  # the extrinsic log sums
+    np.exp(out, out=out)
+    np.minimum(out, 1.0, out=out)
+    with np.errstate(divide="ignore"):  # arctanh(1) is inf before the cap
+        np.arctanh(out, out=out)
+    out *= 2.0
+    np.minimum(out, LLR_CLAMP, out=out)
+    np.negative(out, out=out, where=odd ^ negative)
+    np.copyto(out, 0.0, where=zeros > zero)
+    return out
+
+
+def float_bp(g: TannerGraph, llr, iterations: int):
+    """Yield the float BP marginals after 0, 1, ..., ``iterations``.
+
+    Each yielded array is new and is not written again.  ``llr`` must
+    be finite (``ValueError`` otherwise); erasure-channel outputs go to
+    ``bec_unresolved``.
+    """
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (g.n_vars,):
+        raise ValueError(f"llr must have length {g.n_vars}")
+    require_finite(llr)
+    c2v = np.zeros(g.chk_cols.shape)
+    marginals = _marginals(g, llr, c2v)
+    yield marginals[:-1]
+    for _ in range(iterations):
+        v2c = marginals.take(g.chk_cols)
+        v2c -= c2v
+        c2v = _check_update(v2c)
+        c2v[0, -1] = 0.0  # the slot that the marginals' padding reads
+        marginals = _marginals(g, llr, c2v)
+        yield marginals[:-1]
+
+
+# -- edge-ordered adapters ---------------------------------------------------
+
+
+def _to_columns(g: TannerGraph, messages: np.ndarray, pad: float) -> np.ndarray:
+    columns = np.full(g.chk_cols.shape, pad)
+    columns.reshape(-1)[g.edge_slots] = messages
+    return columns
+
+
+def _to_edges(g: TannerGraph, columns: np.ndarray) -> np.ndarray:
+    return columns.reshape(-1).take(g.edge_slots)
 
 
 def bp_marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
     """Posterior LLR per variable: channel LLR plus all incoming check messages."""
-    return _scatter(c2v, g.edge_var, g.n_vars) + llr
+    return _marginals(g, llr, _to_columns(g, c2v, 0.0))[:-1]
 
 
 def v2c_update(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
     """Variable-to-check messages: channel LLR plus extrinsic check messages."""
-    return bp_marginals(g, llr, c2v)[g.edge_var] - c2v
+    columns = _to_columns(g, c2v, 0.0)
+    return _to_edges(g, _marginals(g, llr, columns).take(g.chk_cols) - columns)
 
 
 def c2v_update(g: TannerGraph, v2c: np.ndarray) -> np.ndarray:
@@ -52,27 +155,7 @@ def c2v_update(g: TannerGraph, v2c: np.ndarray) -> np.ndarray:
     counts as zero when tanh(|m|/2) is, which also catches the smallest
     subnormals.
     """
-    ec = g.edge_chk
-    negative = v2c < 0.0
-    t = np.tanh(np.minimum(np.abs(v2c), LLR_CLAMP) / 2.0)
-    zero = t == 0.0
-    log_t = np.log(np.where(zero, 1.0, t))
-
-    zero_per_chk = _scatter(zero.astype(np.float64), ec, g.n_checks)
-    neg_per_chk = _scatter(negative.astype(np.float64), ec, g.n_checks)
-    log_per_chk = _scatter(log_t, ec, g.n_checks)
-
-    e_zero = zero_per_chk[ec] - zero
-    e_neg = (neg_per_chk[ec] - negative).astype(np.int64)
-    e_log = log_per_chk[ec] - log_t
-
-    sign = np.where(e_neg % 2 == 0, 1.0, -1.0)
-    with np.errstate(divide="ignore"):  # arctanh(1) is inf before the cap
-        product = np.minimum(np.exp(e_log), 1.0)
-        magnitude = np.minimum(2.0 * np.arctanh(product), LLR_CLAMP)
-    out = sign * magnitude
-    out[e_zero > 0] = 0.0
-    return out
+    return _to_edges(g, _check_update(_to_columns(g, v2c, np.inf)))
 
 
 def bp_step(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
@@ -100,16 +183,8 @@ def decode(g: TannerGraph, llr, iterations: int) -> DecodeResult:
     ties lives with the Monte Carlo harness.  Non-finite LLRs raise
     ``ValueError``; erasure-channel outputs go to ``bec_unresolved``.
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (g.n_vars,):
-        raise ValueError(f"llr must have length {g.n_vars}")
-    require_finite(llr)
-    c2v = np.zeros(g.n_edges)
-    for _ in range(iterations):
-        c2v = bp_step(g, llr, c2v)
-    marginals = bp_marginals(g, llr, c2v)
+    for marginals in float_bp(g, llr, iterations):
+        pass
     hard = (marginals < 0).astype(np.uint8)
     return DecodeResult(hard_bits=hard, marginals=marginals)
 
@@ -132,7 +207,7 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
     can flow out of c.  Flooding BP therefore resolves, per iteration,
     exactly the unresolved variables that sit on a check with a single
     unresolved neighbour.  The kernel counts unresolved neighbours per
-    check over the sentinel-padded ``chk_adj``/``var_adj`` tables, in
+    check over the sentinel-padded ``chk_cols``/``var_cols`` tables, in
     the smallest unsigned dtype that holds the largest check degree, so
     any alist degree is safe.
     """
@@ -143,20 +218,18 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
         raise ValueError(f"erased must have shape (trials, {g.n_vars})")
     n_trials = erased.shape[0]
     count = np.min_scalar_type(int(g.check_degrees.max(initial=0)))
-    # One row per table column; the padded sentinel rows stay 0.
-    chk_cols = np.ascontiguousarray(g.chk_adj.T)
-    var_cols = np.ascontiguousarray(g.var_adj.T)
 
+    # One row per node; the padded sentinel rows stay 0.
     unresolved = np.zeros((g.n_vars + 1, n_trials), dtype=bool)
     unresolved[:-1] = erased.T
     yield erased
     for _ in range(iterations):
         per_check = np.zeros((g.n_checks + 1, n_trials), dtype=count)
-        for col in chk_cols:
+        for col in g.chk_cols:
             per_check += unresolved[col]
         single = per_check == 1
         peeled = np.zeros_like(unresolved)
-        for col in var_cols:
+        for col in g.var_cols:
             peeled |= single[col]
         unresolved = unresolved & ~peeled
         yield unresolved[:-1].T

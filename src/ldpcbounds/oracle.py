@@ -23,6 +23,7 @@ later; the claims are released on backtrack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -194,45 +195,51 @@ def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | No
     height = 2 * iterations + 1
     var_dist, chk_dist = (d.tolist() for d in bfs_distances(g, v, max_depth=height))
 
-    def checks_at(u: int, depth: int) -> list[int]:
-        return [c for c in g.var_neighbors(u).tolist() if chk_dist[c] == depth]
+    # A node's lists depend only on the node and the labels, so each is
+    # built once per search, however often backtracking re-enters its level.
+    @cache
+    def below(u: int) -> list[int]:
+        """The checks one level below variable u."""
+        return [c for c in g.var_neighbors(u).tolist() if chk_dist[c] == var_dist[u] + 1]
+
+    @cache
+    def children(c: int) -> list[int]:
+        """The variables one level below check c whose only upward neighbor is c."""
+        depth = chk_dist[c] + 1
+        return [u for u in g.check_neighbors(c).tolist() if var_dist[u] == depth
+                and [b for b in g.var_neighbors(u).tolist() if chk_dist[b] == depth - 1] == [c]]
 
     def grow(levels: list[tuple[int, ...]], checks: list[int]) -> list[tuple[int, ...]] | None:
         levels = levels + [tuple(checks)]
-        depth = len(levels)  # of the children to choose
-        if depth > height:
+        if len(levels) > height:
             return levels
         if not checks:
             return None  # the subtree must reach full height
-        options = []
-        for c in checks:
-            children = [u for u in g.check_neighbors(c).tolist()
-                        if var_dist[u] == depth and checks_at(u, depth - 1) == [c]]
-            if not children:
-                return None
-            options.append(children)
+        options = [children(c) for c in checks]
+        if not all(options):
+            return None
         chosen: list[tuple[int, list[int]]] = []
         claimed: set[int] = set()
 
         def choose(i: int) -> list[tuple[int, ...]] | None:
             if i == len(options):
                 return grow(levels + [tuple(u for u, _ in chosen)],
-                            [c for _, below in chosen for c in below])
+                            [c for _, checks_below in chosen for c in checks_below])
             for u in options[i]:
-                below = checks_at(u, depth + 1)
-                if claimed.isdisjoint(below):
-                    claimed.update(below)
-                    chosen.append((u, below))
+                checks_below = below(u)
+                if claimed.isdisjoint(checks_below):
+                    claimed.update(checks_below)
+                    chosen.append((u, checks_below))
                     found = choose(i + 1)
                     if found is not None:
                         return found
                     chosen.pop()
-                    claimed.difference_update(below)
+                    claimed.difference_update(checks_below)
             return None
 
         return choose(0)
 
-    result = grow([(int(v),)], checks_at(v, 1))
+    result = grow([(int(v),)], below(int(v)))
     return None if result is None else ValidTree(levels=tuple(result))
 
 

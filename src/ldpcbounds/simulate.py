@@ -20,13 +20,14 @@ trial sees the same noise and graph at every iteration count.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import STREAM_GRAPH, STREAM_TRIAL, derived_rng
-from .bp import bec_unresolved, bp_marginals, bp_step, require_finite
+from .bp import bec_unresolved, float_bp
 from .channels import Bec, ChannelModel, transmit
 from .degrees import EnsembleSpec
 from .tanner import TannerGraph, sample_graph
@@ -50,6 +51,14 @@ class BerEstimate:
     half_error_units: int
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int: any integer type, else ``TypeError``, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
+
+
 def _trial_llr(graph: TannerGraph, channel: ChannelModel, seed: int,
                trial: int) -> np.ndarray:
     rng = derived_rng(seed, STREAM_TRIAL, trial)
@@ -70,18 +79,13 @@ def _bp_trial_units(graph: TannerGraph, channel: ChannelModel, seed: int,
                     trial: int, levels: list[int]) -> list[int]:
     """Half-error units of one trial at each of the sorted ``levels``."""
     llr = _trial_llr(graph, channel, seed, trial)
-    require_finite(llr)
-    c2v = np.zeros(graph.n_edges)
-    done = 0
+    wanted = set(levels)
     units = []
-    for l in levels:
-        for _ in range(l - done):
-            c2v = bp_step(graph, llr, c2v)
-        done = l
-        marginals = bp_marginals(graph, llr, c2v)
-        wrong = int(np.count_nonzero(marginals < 0))
-        ties = int(np.count_nonzero(marginals == 0))
-        units.append(2 * wrong + ties)
+    for l, marginals in enumerate(float_bp(graph, llr, levels[-1])):
+        if l in wanted:
+            wrong = int(np.count_nonzero(marginals < 0))
+            ties = int(np.count_nonzero(marginals == 0))
+            units.append(2 * wrong + ties)
     return units
 
 
@@ -123,7 +127,9 @@ def estimate_ber_curve(code, channel: ChannelModel, iterations, n_trials: int,
         on the BSC and BI-AWGN it is the float BP of ``bp_step``.
     iterations : sequence of int
         Flooding iteration counts, in any order, repeats allowed; 0 is
-        the channel decision.  There is no early syndrome stop.
+        the channel decision.  There is no early syndrome stop.  Here and
+        in ``n_trials`` and ``trials_per_block`` any integer type works,
+        and anything else, such as a float, raises ``TypeError``.
     n_trials : int
         Number of transmitted codewords.
     seed : int
@@ -141,11 +147,13 @@ def estimate_ber_curve(code, channel: ChannelModel, iterations, n_trials: int,
     list[BerEstimate]
         One estimate per entry of ``iterations``, in the same order.
     """
+    n_trials = _count("n_trials", n_trials)
+    trials_per_block = _count("trials_per_block", trials_per_block)
+    iterations = [_count("iterations", l) for l in iterations]
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if trials_per_block < 1:
         raise ValueError("trials_per_block must be >= 1")
-    iterations = [int(l) for l in iterations]
     if not iterations:
         raise ValueError("iterations must not be empty")
     if min(iterations) < 0:

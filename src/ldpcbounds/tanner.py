@@ -1,15 +1,22 @@
 """Tanner graphs: construction, sampling, and distance queries.
 
 Graphs are immutable after construction.  They keep the canonical edge
-list (``edge_var``, ``edge_chk``), which BP scatters over with
-``bincount``, and one adjacency layout, two sentinel-padded tables: row u
-of ``var_adj`` lists the checks of variable u in ascending order padded
-with the id ``n_checks``, and row c of ``chk_adj`` lists the variables of
-check c padded with ``n_vars``.  Each table has one more all-sentinel row.
+list (``edge_var``, ``edge_chk``), which numbers the edges, and one
+adjacency layout, two sentinel-padded tables: row u of ``var_adj`` lists
+the checks of variable u in ascending order padded with the id
+``n_checks``, and row c of ``chk_adj`` lists the variables of check c
+padded with ``n_vars``.  Each table has one more all-sentinel row.
 Neighbor lists are the first degree-many entries of a row.  Breadth-first
 search runs in two level-synchronous loops over these tables, and each
 label array or mask keeps one extra slot for the sentinel, which is
 always marked as seen.
+
+The decoders in `bp` run on the same tables transposed, the check-column
+layout: ``chk_cols`` row j holds the j-th variable of every check, so a
+per-check reduction is a loop over a few contiguous rows.  ``var_slots``
+locates each variable's edges in a ``chk_cols``-shaped array.  These
+tables are built on first use and cached, since most graphs, such as the
+oracle's thousands of small samples, never reach a decoder.
 
 `_bfs_levels` serves the queries on a finished graph (`bfs_distances`,
 `distance`, `neighborhood` and `girth`).  Its levels alternate between the
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 import numpy as np
@@ -124,6 +132,36 @@ class TannerGraph:
         """Canonical (var, check) edge array, shape (E, 2)."""
         return np.column_stack([self.edge_var, self.edge_chk])
 
+    # -- the check-column layout (built on first use) ---------------------
+
+    @cached_property
+    def chk_cols(self) -> np.ndarray:
+        """``chk_adj`` transposed: row j holds the j-th variable of every
+        check, padded with ``n_vars``; the last column is the sentinel check."""
+        return _read_only(self.chk_adj.T)
+
+    @cached_property
+    def var_cols(self) -> np.ndarray:
+        """``var_adj`` transposed: row i holds the i-th check of every
+        variable, padded with ``n_checks``; the last column is the sentinel."""
+        return _read_only(self.var_adj.T)
+
+    @cached_property
+    def edge_slots(self) -> np.ndarray:
+        """Flat index of each canonical edge in a ``chk_cols``-shaped array."""
+        starts = np.cumsum(self._chk_deg) - self._chk_deg
+        position = np.arange(self.n_edges) - starts[self.edge_chk]
+        return _read_only(position * (self.n_checks + 1) + self.edge_chk)
+
+    @cached_property
+    def var_slots(self) -> np.ndarray:
+        """Row i, column u: the flat slot of the edge from variable u to its
+        i-th check in ascending order, in a ``chk_cols``-shaped array.
+        Padding points at slot ``n_checks``, row 0 of the sentinel column."""
+        by_var = np.argsort(self.edge_var * self.n_checks + self.edge_chk)
+        slots = _pad_rows(self._var_deg, self.edge_slots[by_var], self.n_checks)
+        return _read_only(slots[:-1].T)
+
     def __eq__(self, other):
         if not isinstance(other, TannerGraph):
             return NotImplemented
@@ -150,6 +188,13 @@ def _node_count(value, error: type[Exception]) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"node counts must be integers, got {value!r}") from None
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A C-contiguous, read-only copy of ``table``, for the cached tables."""
+    table = np.array(table, order="C")
+    table.flags.writeable = False
+    return table
 
 
 def _pad_rows(deg: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:

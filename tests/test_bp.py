@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import erasure_bp_reference
-from ldpcbounds import (Bec, Biawgn, Bsc, TannerGraph, bec_unresolved,
-                        bp_marginals, bp_step, c2v_update, decode, transmit,
-                        v2c_update)
+from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
+                        TannerGraph, bec_unresolved, bp_marginals, bp_step,
+                        c2v_update, decode, float_bp, node_perspective,
+                        sample_graph, transmit, v2c_update)
 from ldpcbounds.bp import LLR_CLAMP
 
 
@@ -223,3 +224,108 @@ class TestBecUnresolved:
             next(bec_unresolved(tree_graph, np.zeros((2, 9), dtype=bool), 1))
         with pytest.raises(ValueError):
             next(bec_unresolved(tree_graph, np.zeros((2, 10), dtype=bool), -1))
+
+
+# -- the edge-ordered reference --------------------------------------------
+# The float kernel as it was before messages moved to the check-column
+# layout: one message per canonical edge, and per-node sums as bincount
+# scatters over the edge list.  The layout must give its marginals and
+# check messages bit for bit.
+
+
+def _reference_scatter(values, index, size):
+    return np.bincount(index, weights=values, minlength=size).astype(np.float64, copy=False)
+
+
+def reference_marginals(g, llr, c2v):
+    return _reference_scatter(c2v, g.edge_var, g.n_vars) + llr
+
+
+def reference_c2v(g, v2c):
+    ec = g.edge_chk
+    negative = v2c < 0.0
+    t = np.tanh(np.minimum(np.abs(v2c), LLR_CLAMP) / 2.0)
+    zero = t == 0.0
+    log_t = np.log(np.where(zero, 1.0, t))
+
+    zero_per_chk = _reference_scatter(zero.astype(np.float64), ec, g.n_checks)
+    neg_per_chk = _reference_scatter(negative.astype(np.float64), ec, g.n_checks)
+    log_per_chk = _reference_scatter(log_t, ec, g.n_checks)
+
+    e_zero = zero_per_chk[ec] - zero
+    e_neg = (neg_per_chk[ec] - negative).astype(np.int64)
+    e_log = log_per_chk[ec] - log_t
+
+    sign = np.where(e_neg % 2 == 0, 1.0, -1.0)
+    with np.errstate(divide="ignore"):
+        product = np.minimum(np.exp(e_log), 1.0)
+        magnitude = np.minimum(2.0 * np.arctanh(product), LLR_CLAMP)
+    out = sign * magnitude
+    out[e_zero > 0] = 0.0
+    return out
+
+
+def reference_float_bp(g, llr, iterations):
+    c2v = np.zeros(g.n_edges)
+    yield reference_marginals(g, llr, c2v)
+    for _ in range(iterations):
+        c2v = reference_c2v(g, reference_marginals(g, llr, c2v)[g.edge_var] - c2v)
+        yield reference_marginals(g, llr, c2v)
+
+
+def assert_same_bits(got, want, label):
+    assert got.shape == want.shape, label
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), label
+
+
+def assert_matches_edge_reference(g, llr, iterations=6):
+    pairs = zip(float_bp(g, llr, iterations), reference_float_bp(g, llr, iterations),
+                strict=True)
+    for l, (got, want) in enumerate(pairs):
+        assert_same_bits(got, want, f"marginals, l={l}")
+
+
+# Subnormals, huge and clamp-crossing values, signed zeros, and ordinary LLRs.
+special_floats = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                     60.0, -60.0, 50.0, 0.0, -0.0]),
+)
+
+
+class TestMatchesEdgeReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_small_graphs(self, data):
+        g = data.draw(small_graphs())
+        llr = np.array(data.draw(st.lists(special_floats, min_size=g.n_vars,
+                                          max_size=g.n_vars)))
+        assert_matches_edge_reference(g, llr)
+        v2c = np.array(data.draw(st.lists(special_floats, min_size=g.n_edges,
+                                          max_size=g.n_edges)), dtype=np.float64)
+        assert_same_bits(c2v_update(g, v2c), reference_c2v(g, v2c), "c2v_update")
+        assert_same_bits(bp_marginals(g, llr, v2c), reference_marginals(g, llr, v2c),
+                         "bp_marginals")
+
+    @pytest.mark.parametrize("degree, n_zero", [(256, 256), (300, 257)])
+    def test_high_degree_zero_counts_do_not_wrap(self, degree, n_zero):
+        # One check over every variable plus a degree-1 check on variable 0.
+        # Zero LLRs give the big check n_zero zero inputs at iteration 1,
+        # which a byte count would wrap to 0 or 1.
+        g = TannerGraph(degree, 2, [(v, 0) for v in range(degree)] + [(0, 1)])
+        llr = np.where(np.arange(degree) % 3 == 0, -0.7, 1.3)
+        llr[:n_zero] = 0.0
+        assert_matches_edge_reference(g, llr, 3)
+
+    @pytest.mark.parametrize("channel", [Bsc(0.06), Biawgn(0.8)], ids=["bsc", "awgn"])
+    def test_irregular_figure6_degrees(self, channel):
+        # Variable degrees 2-4 and check degrees 5-6, so both slot tables pad.
+        spec = EnsembleSpec(
+            600, node_perspective(DegreeDistribution("edge", {2: 0.38354, 3: 0.04237,
+                                                              4: 0.57409})),
+            node_perspective(DegreeDistribution("edge", {5: 0.24123, 6: 0.75877})))
+        g = sample_graph(spec, 3)
+        assert len(set(g.check_degrees.tolist())) == 2
+        for trial in range(3):
+            llr = transmit(np.zeros(g.n_vars, dtype=np.int8), channel, trial)
+            assert_matches_edge_reference(g, llr, 8)

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -76,9 +77,23 @@ class TestEstimateBer:
         assert dec.ber < raw.ber
 
     def test_deterministic_across_thread_counts(self, small_graph):
-        a = estimate_ber(small_graph, Bec(0.4), 2, 60, seed=9, threads=1)
-        b = estimate_ber(small_graph, Bec(0.4), 2, 60, seed=9, threads=4)
-        assert a == b
+        # Each channel gets a fresh copy of one fixed graph, shared by every
+        # block, so four threads race to build its lazily cached tables; a
+        # short switch interval makes them interleave more often.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for channel in (Bec(0.4), Bsc(0.06), Biawgn(0.8)):
+                graph = TannerGraph(small_graph.n_vars, small_graph.n_checks,
+                                    small_graph.edges())
+                b = estimate_ber(graph, channel, 2, 60, seed=9, threads=4,
+                                 trials_per_block=5)
+                a = estimate_ber(graph, channel, 2, 60, seed=9, threads=1,
+                                 trials_per_block=5)
+                assert a == b, channel
+                assert a.half_error_units > 0, channel
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_ensemble_mode_samples_fresh_graphs(self):
         spec = EnsembleSpec(60, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
@@ -124,6 +139,28 @@ class TestEstimateBerCurve:
         with mock.patch("ldpcbounds.simulate.transmit", return_value=llr):
             with pytest.raises(ValueError, match="finite"):
                 estimate_ber_curve(small_graph, Bsc(0.06), [1], 3, seed=1)
+
+    @pytest.mark.parametrize("iterations, n_trials, trials_per_block", [
+        ([2.7], 20, 7), ([1.9, "3"], 20, 7), ([2], 20.0, 7), ([2], 20, 7.5),
+        ([np.float64(2.0)], 20, 7), ([2], "20", 7),
+    ])
+    def test_rejects_non_integer_counts(self, small_graph, iterations, n_trials,
+                                        trials_per_block):
+        # int() would truncate these: 2.7 to 2 iterations, [1.9, '3'] to 1 and 3.
+        with pytest.raises(TypeError, match="integer"):
+            estimate_ber_curve(small_graph, Biawgn(0.8), iterations, n_trials, seed=1,
+                               trials_per_block=trials_per_block)
+
+    def test_rejects_non_integer_iterations_in_estimate_ber(self, small_graph):
+        with pytest.raises(TypeError, match="integer"):
+            estimate_ber(small_graph, Biawgn(0.8), 2.7, 20, seed=1)
+
+    def test_numpy_integer_counts(self, small_graph):
+        plain = estimate_ber_curve(small_graph, Bsc(0.06), [2, 0], 20, seed=1,
+                                   trials_per_block=7)
+        numpy_ints = estimate_ber_curve(small_graph, Bsc(0.06), np.array([2, 0]),
+                                        np.int32(20), seed=1, trials_per_block=np.int16(7))
+        assert numpy_ints == plain
 
     def test_rejects_bad_iterations(self, small_graph):
         with pytest.raises(ValueError):
