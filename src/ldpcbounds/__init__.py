@@ -10,15 +10,13 @@ brute-force minimum-weight oracles.
 __version__ = "0.1.0"
 
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2, transmit
-from .degrees import (DegreeDistribution, EnsembleSpec, check_count,
-                      edge_perspective, node_perspective,
-                      realize_degree_sequences)
+from .degrees import (DegreeDistribution, EnsembleSpec, edge_perspective,
+                      node_perspective, realize_degree_sequences)
 from .tanner import (NeighborhoodView, TannerGraph, distance, girth,
                      neighborhood, peg_construct, sample_graph,
                      sample_graph_with_attempts)
 from .alist import load_alist, save_alist
-from .bp import DecodeResult, bec_unresolved, bp_marginals, bp_step, c2v_update, \
-    decode, float_bp, v2c_update
+from .bp import DecodeResult, bec_unresolved, decode, float_bp
 from .simulate import BerEstimate, estimate_ber, estimate_ber_curve
 from .density_evolution import DeTrace, de_bec, ga_awgn, phi_approx, phi_inverse, \
     q_function

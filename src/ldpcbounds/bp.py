@@ -28,9 +28,7 @@ row, in edge order, starting from 0.0; each variable adds its check
 messages in ascending check order, starting from 0.0, and then the
 channel LLR.  This is the order of a ``bincount`` over the canonical
 edge list, so the float results are those of the edge-ordered kernel
-that this layout replaced, bit for bit.  The edge-ordered functions
-(``bp_step``, ``c2v_update``, ``v2c_update``, ``bp_marginals``) are
-adapters over the same kernel.
+that this layout replaced, bit for bit.
 
 On the erasure channel every message is either erased or certainly
 right, so the same flooding schedule reduces to erasure counting
@@ -67,8 +65,15 @@ def _marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
 
 
 def _check_update(v2c: np.ndarray) -> np.ndarray:
-    """``c2v_update`` on check-column messages, in place on one buffer
-    after the first ``abs``."""
+    """Check-to-variable messages from check-column messages: the
+    extrinsic tanh-half product rule, in place on one buffer after the
+    first ``abs``.
+
+    Any zero extrinsic input forces a zero output; every other case is
+    2*atanh of the product of tanh(|m|/2), capped at the clamp.  An input
+    counts as zero when tanh(|m|/2) is, which also catches the smallest
+    subnormals.
+    """
     negative = v2c < 0.0
     t = np.abs(v2c)
     np.minimum(t, LLR_CLAMP, out=t)
@@ -121,46 +126,6 @@ def float_bp(g: TannerGraph, llr, iterations: int):
         c2v[0, -1] = 0.0  # the slot that the marginals' padding reads
         marginals = _marginals(g, llr, c2v)
         yield marginals[:-1]
-
-
-# -- edge-ordered adapters ---------------------------------------------------
-
-
-def _to_columns(g: TannerGraph, messages: np.ndarray, pad: float) -> np.ndarray:
-    columns = np.full(g.chk_cols.shape, pad)
-    columns.reshape(-1)[g.edge_slots] = messages
-    return columns
-
-
-def _to_edges(g: TannerGraph, columns: np.ndarray) -> np.ndarray:
-    return columns.reshape(-1).take(g.edge_slots)
-
-
-def bp_marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-    """Posterior LLR per variable: channel LLR plus all incoming check messages."""
-    return _marginals(g, llr, _to_columns(g, c2v, 0.0))[:-1]
-
-
-def v2c_update(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-    """Variable-to-check messages: channel LLR plus extrinsic check messages."""
-    columns = _to_columns(g, c2v, 0.0)
-    return _to_edges(g, _marginals(g, llr, columns).take(g.chk_cols) - columns)
-
-
-def c2v_update(g: TannerGraph, v2c: np.ndarray) -> np.ndarray:
-    """Check-to-variable messages: extrinsic tanh-half product rule.
-
-    Any zero extrinsic input forces a zero output; every other case is
-    2*atanh of the product of tanh(|m|/2), capped at the clamp.  An input
-    counts as zero when tanh(|m|/2) is, which also catches the smallest
-    subnormals.
-    """
-    return _to_edges(g, _check_update(_to_columns(g, v2c, np.inf)))
-
-
-def bp_step(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-    """Run one full flooding iteration; returns the new check-to-variable messages."""
-    return c2v_update(g, v2c_update(g, llr, c2v))
 
 
 @dataclass

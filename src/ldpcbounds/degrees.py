@@ -127,27 +127,6 @@ def node_perspective(dist: DegreeDistribution) -> DegreeDistribution:
     return DegreeDistribution(NODE, {d: (f / d) / total for d, f in dist.terms.items()})
 
 
-def check_count(n_vars: int, var_dist: DegreeDistribution,
-                check_dist: DegreeDistribution, *, tol: float = 1e-9) -> int:
-    """Check-node count implied by socket balance.
-
-    Returns ``round(n_vars * L'(1) / R'(1))`` and rejects inputs whose
-    implied count is farther than ``tol`` from an integer, or whose
-    design rate ``1 - M/N`` falls outside (0, 1).
-    """
-    _require_node_dists(var_dist, check_dist)
-    implied = n_vars * var_dist.mean_degree() / check_dist.mean_degree()
-    m = int(round(implied))
-    if abs(m - implied) > tol:
-        raise InvalidSpecError(
-            f"implied check count {implied!r} is not an integer "
-            f"({n_vars * var_dist.mean_degree()!r} variable sockets)"
-        )
-    if not 0 < m < n_vars:
-        raise InvalidSpecError(f"check count {m} leaves design rate outside (0, 1)")
-    return m
-
-
 def _require_node_dists(var_dist: DegreeDistribution, check_dist: DegreeDistribution):
     if var_dist.perspective != NODE or check_dist.perspective != NODE:
         raise InvalidSpecError("ensemble distributions must be node-perspective")

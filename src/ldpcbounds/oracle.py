@@ -22,6 +22,7 @@ later; the claims are released on backtrack.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -63,7 +64,7 @@ def local_system(g: TannerGraph, v: int, iterations: int) -> Gf2System:
     BFS cut at depth 2l labels exactly these nodes: checks sit at odd
     depths, so every labelled check is within 2l-1.
     """
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise ValueError("iterations must be >= 0")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=2 * iterations)
     variables = np.concatenate(([v], np.flatnonzero(var_dist > 0)))  # root first
@@ -190,7 +191,7 @@ def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | No
     the first subtree of full height in that order, or None when none
     exists.
     """
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise ValueError("iterations must be >= 0")
     height = 2 * iterations + 1
     var_dist, chk_dist = (d.tolist() for d in bfs_distances(g, v, max_depth=height))

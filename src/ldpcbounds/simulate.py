@@ -124,7 +124,7 @@ def estimate_ber_curve(code, channel: ChannelModel, iterations, n_trials: int,
         sampled per trial block (ensemble average).
     channel : ChannelModel
         On the BEC the decoder is erasure counting (``bec_unresolved``);
-        on the BSC and BI-AWGN it is the float BP of ``bp_step``.
+        on the BSC and BI-AWGN it is float BP, ``float_bp``.
     iterations : sequence of int
         Flooding iteration counts, in any order, repeats allowed; 0 is
         the channel decision.  There is no early syndrome stop.  Here and

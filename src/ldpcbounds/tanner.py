@@ -147,19 +147,17 @@ class TannerGraph:
         return _read_only(self.var_adj.T)
 
     @cached_property
-    def edge_slots(self) -> np.ndarray:
-        """Flat index of each canonical edge in a ``chk_cols``-shaped array."""
-        starts = np.cumsum(self._chk_deg) - self._chk_deg
-        position = np.arange(self.n_edges) - starts[self.edge_chk]
-        return _read_only(position * (self.n_checks + 1) + self.edge_chk)
-
-    @cached_property
     def var_slots(self) -> np.ndarray:
         """Row i, column u: the flat slot of the edge from variable u to its
         i-th check in ascending order, in a ``chk_cols``-shaped array.
         Padding points at slot ``n_checks``, row 0 of the sentinel column."""
+        # Canonical edge e sits in column edge_chk[e], at its position
+        # within that check's edges.
+        starts = np.cumsum(self._chk_deg) - self._chk_deg
+        position = np.arange(self.n_edges) - starts[self.edge_chk]
+        flat = position * (self.n_checks + 1) + self.edge_chk
         by_var = np.argsort(self.edge_var * self.n_checks + self.edge_chk)
-        slots = _pad_rows(self._var_deg, self.edge_slots[by_var], self.n_checks)
+        slots = _pad_rows(self._var_deg, flat[by_var], self.n_checks)
         return _read_only(slots[:-1].T)
 
     def __eq__(self, other):
@@ -270,9 +268,10 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
     """Graph distances from a root variable node, level-synchronous.
 
     Returns ``(var_dist, chk_dist)`` int arrays with -1 for nodes not
-    reached within ``max_depth``.
+    reached within ``max_depth``, an integer or None for no limit.
     """
     root = _var_index(g, root)
+    max_depth = None if max_depth is None else operator.index(max_depth)
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
     for _ in _bfs_levels(g, root, var_dist, chk_dist, max_depth):
@@ -295,6 +294,7 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
     reaches ``max_depth`` without a meeting can stop.
     """
     vi, vj = _var_index(g, vi), _var_index(g, vj)
+    max_depth = None if max_depth is None else operator.index(max_depth)
     if vi == vj:
         return 0
     labels, levels = [], []
@@ -356,7 +356,7 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
     the induced edge count equals the induced node count minus one.
     """
     v = _var_index(g, v)
-    if k < 0:
+    if operator.index(k) < 0:
         raise ValueError("depth must be >= 0")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=k)
     levels = []

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import erasure_bp_reference
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
-                        TannerGraph, bec_unresolved, bp_marginals, bp_step,
-                        c2v_update, decode, float_bp, node_perspective,
-                        sample_graph, transmit, v2c_update)
+                        TannerGraph, bec_unresolved, decode, float_bp,
+                        node_perspective, sample_graph, transmit)
 from ldpcbounds.bp import LLR_CLAMP
 
 
@@ -27,65 +26,68 @@ def star_variable(n_checks):
     return TannerGraph(1 + n_checks, n_checks, edges)
 
 
+def boxplus(messages):
+    """The check rule on scalars: 2 atanh of the product of tanh(m/2)."""
+    return 2 * math.atanh(math.prod(math.tanh(m / 2) for m in messages))
+
+
 class TestV2cUpdate:
     def test_extrinsic_sum(self):
-        g = star_variable(3)
-        llr = np.zeros(4)
-        llr[0] = 1.0
-        c2v = np.zeros(g.n_edges)
-        # Edges are in (check, var) order: [ (0,c0), (1,c0), (0,c1), ... ]
-        for e in range(g.n_edges):
-            if g.edge_var[e] == 0:
-                c2v[e] = {0: 0.5, 1: -0.25, 2: 7.0}[int(g.edge_chk[e])]
-        v2c = v2c_update(g, llr, c2v)
-        e_to_c2 = next(e for e in range(g.n_edges)
-                       if g.edge_var[e] == 0 and g.edge_chk[e] == 2)
-        assert v2c[e_to_c2] == pytest.approx(1.0 + 0.5 - 0.25)
+        # Leaf 1+j sees, through its degree-2 check, what variable 0 sends
+        # there at iteration 2: its LLR plus the messages of its other checks.
+        llr = np.array([1.0, 0.5, -0.25, 7.0])
+        received = decode(star_variable(3), llr, 2).marginals - llr
+        for j in range(3):
+            assert received[1 + j] == pytest.approx(
+                llr[0] + llr[1:].sum() - llr[1 + j], rel=1e-9)
 
     def test_degree_one_variable_passes_channel(self, tree_graph):
+        # The leaves send their LLRs at every iteration, so the root hears
+        # the same check messages from iteration 1 on.
         llr = np.arange(10, dtype=float)
-        v2c = v2c_update(tree_graph, llr, np.zeros(tree_graph.n_edges))
-        for e in range(tree_graph.n_edges):
-            v = int(tree_graph.edge_var[e])
-            if v != 0:
-                assert v2c[e] == llr[v]
+        root = llr[0] + sum(boxplus(llr[3 * j + 1:3 * j + 4]) for j in range(3))
+        for l in range(1, 5):
+            assert decode(tree_graph, llr, l).marginals[0] == pytest.approx(root, rel=1e-12)
 
 
 class TestC2vUpdate:
+    # At iteration 1 a check star's variables send their own LLRs, so the
+    # marginal minus the LLR is what the check sends back.
+
     def test_tanh_product_rule(self):
-        g = star_check(3)
-        v2c = np.array([2.0, 2.0, 0.7])
-        out = c2v_update(g, v2c)
+        llr = np.array([2.0, 2.0, 0.7])
+        out = decode(star_check(3), llr, 1).marginals - llr
         expect = 2 * math.atanh(math.tanh(1.0) ** 2)
         assert out[2] == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(1.325, abs=1e-3)
 
     def test_zero_annihilates(self):
-        g = star_check(3)
-        out = c2v_update(g, np.array([0.0, 5.0, -2.0]))
+        llr = np.array([0.0, 5.0, -2.0])
+        out = decode(star_check(3), llr, 1).marginals - llr
         assert out[1] == 0.0 and out[2] == 0.0
         assert out[0] != 0.0
 
     def test_sign_rule(self):
-        g = star_check(3)
-        out = c2v_update(g, np.array([-2.0, 2.0, 2.0]))
+        llr = np.array([-2.0, 2.0, 2.0])
+        out = decode(star_check(3), llr, 1).marginals - llr
         assert out[0] > 0 and out[1] < 0 and out[2] < 0
 
     @pytest.mark.parametrize("tiny", [5e-324, -5e-324])
     def test_subnormal_input_counts_as_zero(self, tiny):
         # tanh(5e-324 / 2) is 0, so the input must annihilate like an exact zero
-        # rather than put log(0) into the check's sum.
+        # rather than put log(0) into the check's sum.  The subnormal vanishes
+        # from variable 0's marginal, which is then the check message alone.
         g = star_check(2)
-        out = c2v_update(g, np.array([tiny, 3.0]))
-        assert out[1] == 0.0
-        assert out[0] == c2v_update(g, np.array([1.0, 3.0]))[0]
-        assert np.isfinite(out).all()
+        got = decode(g, [tiny, 3.0], 1).marginals
+        assert got[1] == 3.0
+        assert got[0] == decode(g, [0.0, 3.0], 1).marginals[0]
+        assert np.isfinite(got).all()
 
     @pytest.mark.parametrize("message", [-7.0, 0.0, 3.0, 1e300])
     def test_degree_one_check_sends_clamp(self, message):
         # The extrinsic product is empty, so the check is certain of 0.
-        out = c2v_update(star_check(1), np.array([message]))
-        assert out.tolist() == [LLR_CLAMP]
+        got = decode(star_check(1), [message], 1).marginals
+        assert got.tolist() == [message + LLR_CLAMP]
 
 
 class TestDecode:
@@ -110,21 +112,20 @@ class TestDecode:
 
 class TestProperties:
     def test_extrinsic_consistency(self, spec34_900):
-        from ldpcbounds import sample_graph
+        # Message passing written out per edge: every message leaves out
+        # the edge it is sent on.
         g = sample_graph(spec34_900, 31)
-        rng = np.random.default_rng(5)
-        llr = rng.normal(0, 2, g.n_vars)
-        c2v = np.zeros(g.n_edges)
+        llr = np.random.default_rng(5).normal(0, 2, g.n_vars).tolist()
+        c2v = dict.fromkeys(map(tuple, g.edges().tolist()), 0.0)
         for _ in range(3):
-            c2v = bp_step(g, llr, c2v)
-        marg = bp_marginals(g, llr, c2v)
-        fresh_v2c = v2c_update(g, llr, c2v)
-        for e in range(0, g.n_edges, 97):
-            v = int(g.edge_var[e])
-            assert marg[v] - c2v[e] == pytest.approx(fresh_v2c[e], abs=1e-9)
+            v2c = {(v, c): llr[v] + sum(c2v[v, d] for d in g.var_neighbors(v) if d != c)
+                   for v, c in c2v}
+            c2v = {(v, c): boxplus(v2c[u, c] for u in g.check_neighbors(c) if u != v)
+                   for v, c in c2v}
+        want = [llr[v] + sum(c2v[v, c] for c in g.var_neighbors(v)) for v in range(g.n_vars)]
+        assert decode(g, llr, 3).marginals == pytest.approx(want, abs=1e-9)
 
     def test_bec_erased_set_shrinks(self, spec34_900):
-        from ldpcbounds import sample_graph
         g = sample_graph(spec34_900, 32)
         erased = np.stack([transmit(np.zeros(g.n_vars, dtype=np.int8), Bec(0.55), t) == 0
                            for t in range(4)])
@@ -163,13 +164,8 @@ def test_finite_llrs_keep_messages_finite(data):
     llr = np.array(data.draw(st.lists(
         st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
         min_size=g.n_vars, max_size=g.n_vars)))
-    c2v = np.zeros(g.n_edges)
-    for l in range(7):
-        assert np.isfinite(bp_marginals(g, llr, c2v)).all(), f"l={l}"
-        v2c = v2c_update(g, llr, c2v)
-        assert np.isfinite(v2c).all(), f"l={l}"
-        c2v = c2v_update(g, v2c)
-        assert np.isfinite(c2v).all() and (np.abs(c2v) <= LLR_CLAMP).all(), f"l={l}"
+    for l, marginals in enumerate(float_bp(g, llr, 6)):
+        assert np.isfinite(marginals).all(), f"l={l}"
 
 
 @st.composite
@@ -293,6 +289,14 @@ special_floats = st.one_of(
 )
 
 
+@st.composite
+def check_stars(draw):
+    """Up to six checks over variables of degree 0 or 1."""
+    n_checks = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(-1, n_checks - 1), min_size=1, max_size=24))
+    return TannerGraph(len(owner), n_checks, [(v, c) for v, c in enumerate(owner) if c >= 0])
+
+
 class TestMatchesEdgeReference:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -301,11 +305,17 @@ class TestMatchesEdgeReference:
         llr = np.array(data.draw(st.lists(special_floats, min_size=g.n_vars,
                                           max_size=g.n_vars)))
         assert_matches_edge_reference(g, llr)
-        v2c = np.array(data.draw(st.lists(special_floats, min_size=g.n_edges,
-                                          max_size=g.n_edges)), dtype=np.float64)
-        assert_same_bits(c2v_update(g, v2c), reference_c2v(g, v2c), "c2v_update")
-        assert_same_bits(bp_marginals(g, llr, v2c), reference_marginals(g, llr, v2c),
-                         "bp_marginals")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_check_stars(self, data):
+        # Every variable has degree <= 1, so at iteration 1 each check reads
+        # its edges' own LLRs: arbitrary check inputs, in the float kernel
+        # and in reference_c2v alike.
+        g = data.draw(check_stars())
+        llr = np.array(data.draw(st.lists(special_floats, min_size=g.n_vars,
+                                          max_size=g.n_vars)))
+        assert_matches_edge_reference(g, llr)
 
     @pytest.mark.parametrize("degree, n_zero", [(256, 256), (300, 257)])
     def test_high_degree_zero_counts_do_not_wrap(self, degree, n_zero):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcbounds import (DegreeDistribution, EnsembleSpec, InvalidDistributionError,
-                        InvalidSpecError, check_count, edge_perspective,
-                        node_perspective, realize_degree_sequences)
+                        InvalidSpecError, edge_perspective, node_perspective,
+                        realize_degree_sequences)
 
 
 def dist(perspective, terms):
@@ -78,39 +78,18 @@ class TestEdgePerspective:
             assert back.fraction(d) == pytest.approx(f, abs=1e-10)
 
 
-class TestCheckCount:
-    def test_regular_balance(self):
-        assert check_count(8, DegreeDistribution.regular(3),
-                           DegreeDistribution.regular(4)) == 6
-
-    def test_indivisible_sockets_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            check_count(5, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
-
-    def test_rate_five_sevenths_ensemble(self):
-        # The published two-decimal coefficients round 3/7 and 4/7; the exact
-        # fractions balance the sockets exactly.
-        var = dist("node", {2: 3 / 7, 3: 4 / 7})
-        chk = dist("node", {8: 0.5, 10: 0.5})
-        assert check_count(3500, var, chk) == 1000
-        spec = EnsembleSpec(3500, var, chk)
-        assert spec.design_rate == pytest.approx(5 / 7)
-
-    def test_rounded_coefficients_fail_strict_gate(self):
-        var = dist("node", {2: 0.4286, 3: 0.5714})
-        chk = dist("node", {8: 0.5, 10: 0.5})
-        with pytest.raises(InvalidSpecError):
-            check_count(3500, var, chk)
-
-    def test_degenerate_rate_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            check_count(4, DegreeDistribution.regular(3), DegreeDistribution.regular(3))
-
-
 class TestEnsembleSpec:
     def test_fields_and_rate(self, spec34_900):
         assert spec34_900.n_checks == 675
         assert spec34_900.design_rate == pytest.approx(0.25)
+        # The published two-decimal coefficients round 3/7 and 4/7; the exact
+        # fractions balance the sockets exactly.
+        spec = EnsembleSpec(3500, dist("node", {2: 3 / 7, 3: 4 / 7}),
+                            dist("node", {8: 0.5, 10: 0.5}))
+        assert spec.n_checks == 1000
+        assert spec.design_rate == pytest.approx(5 / 7)
+        with pytest.raises(InvalidSpecError, match="design rate"):
+            EnsembleSpec(4, DegreeDistribution.regular(3), DegreeDistribution.regular(3))
 
     def test_check_degree_two_minimum(self):
         with pytest.raises(InvalidSpecError):

@@ -225,6 +225,19 @@ class TestLocalSystem:
         for row, c in zip(system.rows, system.checks):
             assert len(row) == g.check_degrees[c]
 
+    @pytest.mark.parametrize("query", [
+        lambda spec, l: local_system(sample_graph(spec, 0), 0, l),
+        lambda spec, l: valid_tree_search(sample_graph(spec, 0), 0, l),
+        lambda spec, l: expected_min_weight_mc(spec, l, 3, 0).weights.tolist(),
+    ], ids=["local_system", "valid_tree_search", "expected_min_weight_mc"])
+    def test_rejects_non_integer_iterations(self, spec34_900, query):
+        # A float l must not reach the BFS: l = 1.5 would cut the window at
+        # depth 3, whose rows name variables outside the system.
+        for iterations in (1.5, 1.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                query(spec34_900, iterations)
+        assert query(spec34_900, np.int64(1)) == query(spec34_900, 1)
+
 
 class TestMinWeightRootOne:
     def test_isolated_root(self, tree_graph):

@@ -368,6 +368,19 @@ class TestDistances:
                 query(tree_graph, u)
         assert query(tree_graph, np.int32(2)) == query(tree_graph, 2)
 
+    @pytest.mark.parametrize("query", [
+        lambda g, d: [dist.tolist() for dist in bfs_distances(g, 0, d)],
+        lambda g, d: distance(g, 0, 3, d),
+        lambda g, d: [lvl.tolist() for lvl in neighborhood(g, 0, d).levels],
+    ], ids=["bfs_distances", "distance", "neighborhood"])
+    def test_rejects_non_integer_depth(self, spec34_900, query):
+        # Depths count whole levels: a depth of 1.5 would search to depth 2.
+        g = sample_graph(spec34_900, 0)
+        for depth in (1.5, 2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                query(g, depth)
+        assert query(g, np.int64(2)) == query(g, 2)
+
     def test_rejects_other_variables_out_of_range(self, tree_graph):
         for u in (-1, tree_graph.n_vars):
             with pytest.raises(IndexError, match=f"variable index {u} out of range"):
