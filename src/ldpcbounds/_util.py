@@ -1,6 +1,8 @@
-"""Small shared helpers: seeding and deterministic number formatting."""
+"""Small shared helpers: seeding, node counts and deterministic number formatting."""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -27,6 +29,14 @@ def derived_rng(master_seed: int, stream: int, index: int) -> np.random.Generato
     """Generator for one unit of work, stable under any execution order."""
     ss = np.random.SeedSequence((int(master_seed), int(stream), int(index)))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def node_count(value, error: type[Exception]) -> int:
+    """``value`` as a node count: any integer type, else ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"node counts must be integers, got {value!r}") from None
 
 
 def fmt_number(value) -> str:

@@ -40,6 +40,7 @@ The BEC's infinite LLRs go only there, as the erasure pattern
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def float_bp(g: TannerGraph, llr, iterations: int):
     be finite (``ValueError`` otherwise); erasure-channel outputs go to
     ``bec_unresolved``.
     """
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise ValueError("iterations must be >= 0")
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (g.n_vars,):
@@ -176,7 +177,7 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
     the smallest unsigned dtype that holds the largest check degree, so
     any alist degree is safe.
     """
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise ValueError("iterations must be >= 0")
     erased = np.asarray(erased, dtype=bool)
     if erased.ndim != 2 or erased.shape[1] != g.n_vars:

@@ -15,6 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._util import node_count
 from .errors import InvalidDistributionError, InvalidSpecError
 
 NODE = "node"
@@ -195,7 +196,7 @@ class EnsembleSpec:
     check_dist: DegreeDistribution
 
     def __post_init__(self):
-        if self.n_vars < 2:
+        if node_count(self.n_vars, InvalidSpecError) < 2:
             raise InvalidSpecError("n_vars must be >= 2")
         _require_node_dists(self.var_dist, self.check_dist)
         m = self.n_checks

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .channels import Bec, Biawgn, ChannelModel
 from .degrees import DegreeDistribution, edge_perspective
@@ -20,6 +19,8 @@ from .degrees import DegreeDistribution, edge_perspective
 
 def q_function(x: float) -> float:
     """Standard normal tail probability Q(x)."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(x / np.sqrt(2.0))
 
 
@@ -80,7 +81,7 @@ def _phi_large(s):
 # The two approximation regimes cross near s = 6.2; switching exactly at
 # the crossing keeps the stitched function continuous.  The literal is
 # ``brentq(lambda s: _phi_small(s) - _phi_large(s), 4.0, 8.0)``, written
-# out so that importing the package does not import `scipy.optimize`.
+# out so that importing the package does not import scipy.
 PHI_SPLIT = 6.177975866159115
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log, log2, pi, sqrt
 
-from scipy.special import log_ndtr
-
 from .channels import Bec, Biawgn, Bsc, ChannelModel
 from .density_evolution import q_function
 from .errors import RegimeError
@@ -159,6 +157,8 @@ def neg_log2_ber_lower(channel: ChannelModel, weight: float) -> float | None:
     if isinstance(channel, Biawgn):
         if weight == 0:
             return 1.0  # Q(0) = 1/2
+        from scipy.special import log_ndtr
+
         return -log_ndtr(-sqrt(weight / channel.sigma2)) / log(2.0)
     raise TypeError(f"unknown channel model {channel!r}")
 

@@ -47,7 +47,7 @@ from math import inf
 
 import numpy as np
 
-from ._util import as_generator
+from ._util import as_generator, node_count
 from .degrees import EnsembleSpec, realize_degree_sequences
 from .errors import ConstructionError, InvalidSpecError, SamplingFailureError
 
@@ -71,8 +71,8 @@ class TannerGraph:
     """
 
     def __init__(self, n_vars: int, n_checks: int, edges):
-        n_vars = _node_count(n_vars, InvalidSpecError)
-        n_checks = _node_count(n_checks, InvalidSpecError)
+        n_vars = node_count(n_vars, InvalidSpecError)
+        n_checks = node_count(n_checks, InvalidSpecError)
         if n_vars < 1 or n_checks < 1:
             raise InvalidSpecError("graph needs at least one node per side")
         if not isinstance(edges, np.ndarray):
@@ -178,14 +178,6 @@ class TannerGraph:
             f"TannerGraph(n_vars={self.n_vars}, n_checks={self.n_checks}, "
             f"n_edges={self.n_edges})"
         )
-
-
-def _node_count(value, error: type[Exception]) -> int:
-    """``value`` as a node count: any integer type, else ``error``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"node counts must be integers, got {value!r}") from None
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -403,7 +395,7 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
         # this is ``chk_sockets[rng.permutation(n_edges)]`` without the gather.
         matched = chk_sockets.copy()
         rng.shuffle(matched)
-        if not any(np.any((matched[:-k] == matched[k:]) & same)
+        if not any(((matched[:-k] == matched[k:]) & same).any()
                    for k, same in enumerate(same_var, 1)):
             return TannerGraph(n, m, np.column_stack([var_sockets, matched])), attempt
     raise SamplingFailureError(
@@ -416,8 +408,6 @@ def sample_graph(spec: EnsembleSpec, seed,
     """Uniformly random simple graph from the ensemble, deterministic per seed."""
     graph, _ = sample_graph_with_attempts(spec, seed, max_attempts)
     return graph
-
-
 
 
 # -- progressive edge growth ----------------------------------------------
@@ -462,8 +452,8 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     checks below the ceiling outside the component, so the pick is made
     among them directly.
     """
-    n_vars = _node_count(n_vars, ConstructionError)
-    n_checks = _node_count(n_checks, ConstructionError)
+    n_vars = node_count(n_vars, ConstructionError)
+    n_checks = node_count(n_checks, ConstructionError)
     degrees = np.asarray(var_degrees)
     if degrees.shape != (n_vars,):
         raise ConstructionError("var_degrees must list one degree per variable")

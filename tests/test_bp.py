@@ -109,6 +109,19 @@ class TestDecode:
         with pytest.raises(ValueError, match="finite"):
             decode(tree_graph, llr, 1)
 
+    @pytest.mark.parametrize("first", [
+        lambda g, l: next(float_bp(g, np.ones(g.n_vars), l)).tolist(),
+        lambda g, l: next(bec_unresolved(g, np.ones((2, g.n_vars), dtype=bool), l)).tolist(),
+        lambda g, l: decode(g, np.ones(g.n_vars), l).marginals.tolist(),
+    ], ids=["float_bp", "bec_unresolved", "decode"])
+    def test_rejects_non_integer_iterations(self, tree_graph, first):
+        # The generators check their count before the l = 0 output, so a
+        # float fails at the first next() and not one iteration later.
+        for iterations in (1.5, 2.5, 1.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                first(tree_graph, iterations)
+        assert first(tree_graph, np.int64(1)) == first(tree_graph, 1)
+
 
 class TestProperties:
     def test_extrinsic_consistency(self, spec34_900):

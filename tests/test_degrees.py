@@ -99,6 +99,16 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError):
             EnsembleSpec(5, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
 
+    @pytest.mark.parametrize("n_vars", [900.0, 900.5, "900"])
+    def test_non_integer_n_vars_rejected(self, n_vars):
+        with pytest.raises(InvalidSpecError, match="integer"):
+            EnsembleSpec(n_vars, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+
+    def test_numpy_integer_n_vars(self, spec34_900):
+        spec = EnsembleSpec(np.int64(900), DegreeDistribution.regular(3),
+                            DegreeDistribution.regular(4))
+        assert spec.n_checks == spec34_900.n_checks
+
 
 class TestRealizeDegreeSequences:
     def test_regular(self, spec34_900):

@@ -1,11 +1,14 @@
+import json
 import os
 import subprocess
 import sys
+from math import log, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import erfc, log_ndtr
 
 import ldpcbounds
 from ldpcbounds import DegreeDistribution, de_bec, ga_awgn, phi_approx, phi_inverse, \
@@ -15,6 +18,15 @@ from ldpcbounds.density_evolution import PHI_SPLIT, _phi_large, _phi_small
 R3 = DegreeDistribution.regular(3)
 R4 = DegreeDistribution.regular(4)
 R6 = DegreeDistribution.regular(6)
+REGULAR_34_5400 = {"n_vars": 5400, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}}
+
+
+def _fresh_process(code):
+    """Standard output of ``code`` run in a new interpreter."""
+    # Import the package under test, wherever it was imported from here.
+    env = {**os.environ, "PYTHONPATH": str(Path(ldpcbounds.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
 
 
 class TestDeBec:
@@ -113,3 +125,39 @@ class TestPhi:
     def test_inverse_edge_cases(self):
         assert phi_inverse(1.0) == 0.0
         assert phi_inverse(2.0) == 0.0
+
+
+class TestColdStart:
+    """Importing the package and validating configs load no scipy module."""
+
+    def test_import_and_validate_load_no_scipy(self):
+        bec_figure5 = {"kind": "figure5", "seed": 1, "ensemble": REGULAR_34_5400,
+                       "channel": {"type": "bec", "epsilon": 0.6},
+                       "iterations": [1, 2, 3, 4], "trials": 371, "code": "peg"}
+        awgn_simulate = {"kind": "simulate", "seed": 1, "ensemble": REGULAR_34_5400,
+                         "channel": {"type": "biawgn", "sigma2": 0.7},
+                         "iterations": [2, 4, 6, 8], "trials": 200}
+        code = (
+            "import json, sys\n"
+            "import ldpcbounds, ldpcbounds.experiments, ldpcbounds.cli\n"
+            "from ldpcbounds.experiments import ExperimentConfig, validate\n"
+            f"for cfg in {[bec_figure5, awgn_simulate]!r}:\n"
+            "    assert validate(ExperimentConfig.from_dict(cfg)).ok, cfg\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        assert json.loads(_fresh_process(code)) == []
+
+    def test_lazy_scipy_calls_are_the_direct_expressions(self):
+        code = (
+            "import json, sys\n"
+            "from ldpcbounds import Biawgn, neg_log2_ber_lower, q_function\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "q = float(q_function(1.3))\n"
+            "b = float(neg_log2_ber_lower(Biawgn(0.7), 6))\n"
+            "print(json.dumps([before, q.hex(), b.hex()]))\n"
+        )
+        before, q, b = json.loads(_fresh_process(code))
+        assert not before
+        assert float.fromhex(q) == float(0.5 * erfc(1.3 / np.sqrt(2.0)))
+        assert float.fromhex(b) == float(-log_ndtr(-sqrt(6 / 0.7)) / log(2.0))
