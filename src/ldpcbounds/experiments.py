@@ -9,11 +9,8 @@ bodies at any worker count.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 from math import isfinite, log2
@@ -21,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, tanner
+from . import __version__
 from ._util import fmt_number
 from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
@@ -37,7 +34,7 @@ from .regular_bounds import (RegularParams, closed_form_lower, gamma_transform,
                              lentmaier_validity_limit, tree_regime_limit,
                              block_regime_limit)
 from .simulate import DEFAULT_TRIALS_PER_BLOCK, estimate_ber_curve
-from .tanner import TannerGraph, peg_construct
+from .tanner import peg_construct
 
 CSV_HEADERS = {
     "bounds": "l,regime,w_ub,p_lower,gamma_lower,p_upper_lentmaier,p_lower_relaxed",
@@ -371,86 +368,16 @@ def _de_trace(config: ExperimentConfig, spec: EnsembleSpec, channel: ChannelMode
     return ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
 
 
-def _peg_cache_path(n_vars: int, degrees: np.ndarray, n_checks: int) -> Path:
-    """Cache file of one PEG code, keyed on the construction's source and inputs.
-
-    The key is the SHA-256 of the digest of ``tanner.py``'s bytes, then
-    ``n_vars``, ``n_checks`` and the degrees as little-endian int64, so an
-    edit to the construction code starts a new file.  The directory is
-    ``$XDG_CACHE_HOME/ldpcbounds``, or ``~/.cache/ldpcbounds`` when that
-    variable is unset or not an absolute path.  Raises OSError when
-    ``tanner.py`` cannot be read and RuntimeError when there is no home
-    directory.
-    """
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
-    key = hashlib.sha256(hashlib.sha256(Path(tanner.__file__).read_bytes()).digest())
-    key.update(np.array([n_vars, n_checks], dtype="<i8").tobytes())
-    key.update(np.ascontiguousarray(degrees, dtype="<i8").tobytes())
-    return root / "ldpcbounds" / f"peg-{key.hexdigest()}.npy"
-
-
-def _save_edges(path: Path, edges: np.ndarray) -> None:
-    """Write ``edges`` as ``.npy`` through a temporary file and ``os.replace``,
-    so a reader sees the old file or the whole new one; a directory that
-    cannot be made or written leaves the cache as it was."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".peg-", suffix=".tmp", dir=path.parent)
-    except OSError:
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, edges, allow_pickle=False)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-
-
-def _peg_code(n_vars: int, var_degrees: np.ndarray, n_checks: int
-              ) -> tuple[TannerGraph, str]:
-    """``peg_construct(n_vars, var_degrees, n_checks)``, built once per code.
-
-    Returns the graph and where it came from, ``"cache"`` or ``"built"``.
-    A cache file is read without unpickling and accepted only as a valid
-    graph with the requested variable degrees; any other file is rebuilt
-    and overwritten.  A hit and a miss each construct one ``TannerGraph``,
-    and a cache that cannot be read or written leaves the run uncached.
-    """
-    try:
-        path = _peg_cache_path(n_vars, var_degrees, n_checks)
-    except (OSError, RuntimeError):
-        return peg_construct(n_vars, var_degrees, n_checks), "built"
-    try:
-        with open(path, "rb") as fh:
-            edges = np.load(fh, allow_pickle=False)
-        g = TannerGraph(n_vars, n_checks, edges)
-        if np.array_equal(g.var_degrees, var_degrees):
-            return g, "cache"
-    except (OSError, EOFError, MemoryError, ValueError, LdpcBoundsError):
-        pass
-    g = peg_construct(n_vars, var_degrees, n_checks)
-    _save_edges(path, g.edges())
-    return g, "built"
-
-
 def _simulated_rows(config: ExperimentConfig, spec: EnsembleSpec | None,
-                    channel: ChannelModel, iterations: list[int],
-                    notes: dict) -> list[list]:
-    """BER rows from one Monte Carlo sweep over the configured code.
-
-    A PEG code records in ``notes["peg_code"]`` whether it was read from
-    the cache or built.
-    """
+                    channel: ChannelModel, iterations: list[int]) -> list[list]:
+    """BER rows from one Monte Carlo sweep over the configured code."""
     if config.alist is not None:
         code = load_alist(config.alist)
     elif config.code == "ensemble":
         code = spec
     else:
         var_degrees, _ = realize_degree_sequences(spec)
-        code, notes["peg_code"] = _peg_code(spec.n_vars, np.sort(var_degrees),
-                                            spec.n_checks)
+        code = peg_construct(spec.n_vars, np.sort(var_degrees), spec.n_checks)
     ests = estimate_ber_curve(code, channel, iterations, config.trials, config.seed,
                               threads=config.threads,
                               trials_per_block=config.trials_per_block)
@@ -477,8 +404,7 @@ def _de(config, spec, channel, notes) -> dict:
 
 
 def _simulate(config, spec, channel, notes) -> dict:
-    return {"simulate.csv": _simulated_rows(config, spec, channel, config.iterations,
-                                            notes)}
+    return {"simulate.csv": _simulated_rows(config, spec, channel, config.iterations)}
 
 
 def _recursion(config, spec, channel, notes) -> dict:
@@ -530,7 +456,7 @@ def _figure5(config, spec, channel, notes) -> dict:
     iters = sorted(config.iterations)
     lower = _lower_bounds(config, spec, channel, iters)
     trace = _de_trace(config, spec, channel, notes)
-    sim_rows = _simulated_rows(config, spec, channel, iters, notes)
+    sim_rows = _simulated_rows(config, spec, channel, iters)
 
     if config.a0 is not None:
         a0 = config.a0

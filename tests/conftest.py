@@ -4,19 +4,6 @@ import pytest
 from ldpcbounds import DegreeDistribution, EnsembleSpec, TannerGraph
 
 
-@pytest.fixture(scope="session", autouse=True)
-def peg_cache_home(tmp_path_factory):
-    """Point ``XDG_CACHE_HOME`` at a fresh directory for the whole session.
-
-    The suite then never reads or writes a user's PEG code cache: the first
-    ``code: "peg"`` run of each code builds it, and later runs load it.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        home = tmp_path_factory.mktemp("xdg-cache")
-        mp.setenv("XDG_CACHE_HOME", str(home))
-        yield home
-
-
 @pytest.fixture(scope="session")
 def spec34_900():
     return EnsembleSpec(900, DegreeDistribution.regular(3), DegreeDistribution.regular(4))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, peg_construct, \
-    sample_graph, save_alist, tanner
+from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, sample_graph, \
+    save_alist
 from ldpcbounds.cli import _build_parser, main
 from ldpcbounds.experiments import (_CHANNELS, _ENSEMBLE_KEYS, CSV_HEADERS,
                                     ExperimentConfig, build_channel, build_spec, run,
@@ -291,98 +291,6 @@ class TestDeterminism:
             assert m1["outputs"][name]["sha256"] == m2["outputs"][name]["sha256"]
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert m1["config_hash"] == m2["config_hash"]
-
-
-_UNPICKLED = []
-
-
-def _record_unpickling():
-    _UNPICKLED.append(True)
-
-
-class _Tripwire:
-    """Pickles to a call that records that it was unpickled."""
-
-    def __reduce__(self):
-        return _record_unpickling, ()
-
-
-def _peg_run(tmp_path, name, **changes):
-    """The small simulate config on a PEG code; returns the manifest and CSV bytes."""
-    config = {"kind": "simulate", "seed": 3, **FUZZ_BASES["simulate"], "code": "peg",
-              **changes}
-    manifest = run(make_config(**config), tmp_path / name)
-    return manifest, (tmp_path / name / "simulate.csv").read_bytes()
-
-
-class TestPegCodeCache:
-    @pytest.fixture
-    def cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        return tmp_path / "xdg" / "ldpcbounds"
-
-    def test_second_run_reads_the_file(self, tmp_path, cache):
-        built, body = _peg_run(tmp_path, "a")
-        [path] = cache.iterdir()
-        assert built["notes"]["peg_code"] == "built"
-        assert path.name.startswith("peg-") and path.suffix == ".npy"
-        np.testing.assert_array_equal(np.load(path, allow_pickle=False),
-                                      peg_construct(120, [3] * 120, 90).edges())
-        written = path.stat().st_mtime_ns
-        hit, again = _peg_run(tmp_path, "b")
-        assert hit["notes"]["peg_code"] == "cache"
-        assert again == body and hit["outputs"] == built["outputs"]
-        assert list(cache.iterdir()) == [path] and path.stat().st_mtime_ns == written
-
-    @pytest.mark.parametrize("damage", ["empty", "truncated", "huge_shape", "other_degrees",
-                                        "pickled"])
-    def test_bad_file_is_rebuilt(self, tmp_path, cache, damage):
-        _, body = _peg_run(tmp_path, "a")
-        [path] = cache.iterdir()
-        good = path.read_bytes()
-        if damage in ("empty", "truncated"):
-            path.write_bytes(good[:len(good) // 2 if damage == "truncated" else 0])
-        elif damage == "huge_shape":  # a header no allocation can satisfy
-            with open(path, "wb") as fh:
-                np.lib.format.write_array_header_1_0(
-                    fh, {"descr": "<i8", "fortran_order": False, "shape": (10**15, 2)})
-                fh.write(good[-64:])
-        elif damage == "other_degrees":
-            np.save(path, peg_construct(120, [2] * 60 + [4] * 60, 90).edges(),
-                    allow_pickle=False)
-        else:
-            np.save(path, np.array([_Tripwire()], dtype=object), allow_pickle=True)
-        rebuilt, again = _peg_run(tmp_path, "b")
-        assert rebuilt["notes"]["peg_code"] == "built" and again == body
-        assert list(cache.iterdir()) == [path] and path.read_bytes() == good
-        assert not _UNPICKLED
-
-    def test_unwritable_cache_home_runs_uncached(self, tmp_path, cache, monkeypatch):
-        _, body = _peg_run(tmp_path, "a")
-        blocker = tmp_path / "regular-file"
-        blocker.write_bytes(b"")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        uncached, again = _peg_run(tmp_path, "b")
-        assert uncached["notes"]["peg_code"] == "built" and again == body
-        assert blocker.read_bytes() == b""
-
-    def test_each_code_has_its_own_file(self, tmp_path, cache):
-        ensemble = FUZZ_BASES["simulate"]["ensemble"]  # (3,4), N=120, 90 checks
-        variants = [ensemble, ensemble | {"check_dist": {"6": 1.0}},  # 60 checks
-                    ensemble | {"var_dist": {"2": 0.5, "4": 0.5}}]  # 90 checks
-        for i, variant in enumerate(variants):
-            manifest, _ = _peg_run(tmp_path, str(i), ensemble=variant)
-            assert manifest["notes"]["peg_code"] == "built"
-        assert len(list(cache.glob("peg-*.npy"))) == 3
-
-    def test_edited_construction_code_has_its_own_file(self, tmp_path, cache, monkeypatch):
-        _peg_run(tmp_path, "a")
-        edited = tmp_path / "tanner.py"
-        edited.write_bytes(Path(tanner.__file__).read_bytes() + b"\n")
-        monkeypatch.setattr(tanner, "__file__", str(edited))
-        manifest, _ = _peg_run(tmp_path, "b")
-        assert manifest["notes"]["peg_code"] == "built"
-        assert len(list(cache.glob("peg-*.npy"))) == 2
 
 
 class TestCli:
