@@ -173,9 +173,9 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
     can flow out of c.  Flooding BP therefore resolves, per iteration,
     exactly the unresolved variables that sit on a check with a single
     unresolved neighbour.  The kernel counts unresolved neighbours per
-    check over the sentinel-padded ``chk_cols``/``var_cols`` tables, in
-    the smallest unsigned dtype that holds the largest check degree, so
-    any alist degree is safe.
+    check over the rows of the transposed sentinel-padded tables
+    ``chk_adj.T`` and ``var_adj.T``, in the smallest unsigned dtype that
+    holds the largest check degree, so any alist degree is safe.
     """
     if operator.index(iterations) < 0:
         raise ValueError("iterations must be >= 0")
@@ -191,11 +191,11 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
     yield erased
     for _ in range(iterations):
         per_check = np.zeros((g.n_checks + 1, n_trials), dtype=count)
-        for col in g.chk_cols:
+        for col in g.chk_adj.T:
             per_check += unresolved[col]
         single = per_check == 1
         peeled = np.zeros_like(unresolved)
-        for col in g.var_cols:
+        for col in g.var_adj.T:
             peeled |= single[col]
         unresolved = unresolved & ~peeled
         yield unresolved[:-1].T

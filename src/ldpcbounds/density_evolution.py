@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Bec, Biawgn, ChannelModel
 from .degrees import DegreeDistribution, edge_perspective
 
 
@@ -33,7 +32,6 @@ class DeTrace:
     ``ber`` the node-level bit error probability.
     """
 
-    channel: ChannelModel
     message_error: np.ndarray
     ber: np.ndarray
 
@@ -59,7 +57,7 @@ def de_bec(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
         y = 1.0 - rho.evaluate(1.0 - x[t - 1])
         x[t] = epsilon * lam.evaluate(y)
         ber[t] = epsilon * var_dist.evaluate(y)
-    return DeTrace(channel=Bec(epsilon), message_error=x, ber=ber)
+    return DeTrace(message_error=x, ber=ber)
 
 
 # -- Gaussian approximation ------------------------------------------------
@@ -147,4 +145,4 @@ def ga_awgn(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
             f * q_function(np.sqrt((s + d * m_c) / 2.0))
             for d, f in var_dist.terms.items()
         )
-    return DeTrace(channel=Biawgn(sigma2), message_error=message_error, ber=ber)
+    return DeTrace(message_error=message_error, ber=ber)

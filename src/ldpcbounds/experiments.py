@@ -26,13 +26,12 @@ from .degrees import (EDGE, NODE, DegreeDistribution, EnsembleSpec, node_perspec
                       realize_degree_sequences)
 from .density_evolution import de_bec, ga_awgn
 from .errors import CapacityError, ConfigError, LdpcBoundsError
-from .irregular import (empirical_tail, irregular_lower_bound,
+from .irregular import (BRANCH_BELOW, empirical_tail, irregular_lower_bound,
                         tail_distribution, weight_recursion)
 from .oracle import expected_min_weight_mc
-from .regular_bounds import (RegularParams, closed_form_lower, gamma_transform,
-                             lentmaier_fit_a0, lentmaier_upper,
-                             lentmaier_validity_limit, tree_regime_limit,
-                             block_regime_limit)
+from .regular_bounds import (REGIME_BLOCK, REGIME_TREE, RegularParams, closed_form_lower,
+                             gamma_transform, lentmaier_fit_a0, lentmaier_upper,
+                             lentmaier_validity_limit)
 from .simulate import DEFAULT_TRIALS_PER_BLOCK, estimate_ber_curve
 from .tanner import peg_construct
 
@@ -258,8 +257,9 @@ def validate(config: ExperimentConfig) -> ValidationReport:
 
     Builds the ensemble and the channel and evaluates the kind's weight
     bound, which takes microseconds per iteration count and raises the
-    bound's own argument errors; runs no density evolution, sampling or
-    simulation.
+    bound's own argument errors; each computed bound point outside the
+    tree or below-threshold regime gets an info line naming its regime.
+    Runs no density evolution, sampling or simulation.
     """
     report = ValidationReport(errors=_block_errors(vars(config), _CONFIG_KEYS))
     if config.kind not in _KINDS:
@@ -298,27 +298,19 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     if not report.errors and kind in ("bounds", "figure5", "recursion"):
         try:
             if kind == "recursion":
-                weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
-                                 max(config.iterations), config.theta1)
+                trace = weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
+                                         max(config.iterations), config.theta1)
+                regimes = [(trace.iterations, trace.branch)]
             else:
-                _lower_bounds(config, spec, report.channel, config.iterations)
+                regimes = [(p.iterations, p.regime) for p in
+                           _lower_bounds(config, spec, report.channel, config.iterations)]
         except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"weight bound: {exc}")
-
-    if spec is not None and config.iterations:
-        j = spec.var_dist.max_degree
-        k = spec.check_dist.max_degree
-        if j >= 3:
-            tree_lim = tree_regime_limit(j, k, spec.n_vars, config.theta1)
-            block_lim = block_regime_limit(j, k, spec.n_vars)
-            for l in config.iterations:
-                if l > block_lim:
-                    report.infos.append(
-                        f"l={l} is beyond the saturation threshold "
-                        f"{block_lim:.3f}; the weight bound degenerates to w=N")
-                elif l > tree_lim:
-                    report.infos.append(
-                        f"l={l} is beyond the tree-regime threshold {tree_lim:.3f}")
+        else:
+            report.infos += [
+                f"l={l} is in the {regime} regime"
+                + ("; the weight bound degenerates to w=N" if regime == REGIME_BLOCK else "")
+                for l, regime in regimes if regime not in (REGIME_TREE, BRANCH_BELOW)]
     return report
 
 

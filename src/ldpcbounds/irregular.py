@@ -219,7 +219,8 @@ def maxdeg_relaxation(channel: ChannelModel, var_dist: DegreeDistribution,
     The regular ensemble at the maximum degrees lower-bounds the
     irregular ensemble's BER.  Returns None when Jmax < 3, where the
     closed form does not apply.  No ordering between this relaxation and
-    the recursion-based bound is asserted; both are emitted side by side.
+    the recursion-based bound is asserted.  A library function only: no
+    experiment kind writes it.
     """
     j_max = var_dist.max_degree
     k_max = check_dist.max_degree

@@ -33,7 +33,8 @@ from .degrees import EnsembleSpec
 from .errors import CapacityError
 from .tanner import TannerGraph, bfs_distances, sample_graph
 
-DEFAULT_MAX_FREE_DIM = 28
+# Largest free dimension the Gray-code walk takes on (2**28 solutions).
+MAX_FREE_DIM = 28
 
 
 @dataclass(frozen=True)
@@ -114,22 +115,21 @@ def _solve_affine(sys: Gf2System) -> tuple[int, list[int]] | None:
     return particular, basis
 
 
-def min_weight_root_one(sys: Gf2System,
-                        max_free_dim: int = DEFAULT_MAX_FREE_DIM) -> int | None:
+def min_weight_root_one(sys: Gf2System) -> int | None:
     """Minimum Hamming weight over local solutions with the root set to 1.
 
     Returns None when no such solution exists.  The affine solution set
     is walked in Gray-code order so each step flips one basis vector;
     a CapacityError is raised when the free dimension exceeds
-    ``max_free_dim`` (callers must shrink the window or the graph).
+    ``MAX_FREE_DIM`` (callers must shrink the window or the graph).
     """
     solved = _solve_affine(sys)
     if solved is None:
         return None
     particular, basis = solved
-    if len(basis) > max_free_dim:
+    if len(basis) > MAX_FREE_DIM:
         raise CapacityError(
-            f"free dimension {len(basis)} exceeds guard {max_free_dim}"
+            f"free dimension {len(basis)} exceeds guard {MAX_FREE_DIM}"
         )
     best_vec = particular
     best = particular.bit_count()
@@ -265,8 +265,7 @@ class MinWeightEstimate:
 
 
 def expected_min_weight_mc(spec: EnsembleSpec, iterations: int, n_samples: int,
-                           seed: int, max_free_dim: int = DEFAULT_MAX_FREE_DIM
-                           ) -> MinWeightEstimate:
+                           seed: int) -> MinWeightEstimate:
     """Two-stage Monte Carlo: fresh graph per sample, then a uniform root."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -278,7 +277,7 @@ def expected_min_weight_mc(spec: EnsembleSpec, iterations: int, n_samples: int,
         v = int(derived_rng(seed, STREAM_ORACLE_NODE, i).integers(spec.n_vars))
         system = local_system(g, v, iterations)
         try:
-            w = min_weight_root_one(system, max_free_dim=max_free_dim)
+            w = min_weight_root_one(system)
         except CapacityError:
             skipped += 1
             continue

@@ -10,6 +10,7 @@ transform used to plot the resulting double-exponential decay.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import exp, log, log2, pi, sqrt
 
@@ -42,13 +43,13 @@ class RegularParams:
     theta1: float = 0.99
 
     def __post_init__(self):
-        if self.j < 3:
+        if operator.index(self.j) < 3:
             raise ValueError("variable degree must be >= 3 for the closed-form bound")
-        if self.k < 2:
+        if operator.index(self.k) < 2:
             raise ValueError("check degree must be >= 2")
-        if self.n_vars < 2:
+        if operator.index(self.n_vars) < 2:
             raise ValueError("n_vars must be >= 2")
-        if self.iterations < 0:
+        if operator.index(self.iterations) < 0:
             raise ValueError("iterations must be >= 0")
         if not 0.0 < self.theta1 < 1.0:
             raise ValueError("theta1 must lie in (0, 1)")
@@ -63,7 +64,7 @@ def valid_tree_counts(j: int, depth: int) -> tuple[int, int]:
     levels of degree 2.  Returns (variables, checks); both are exact
     integers.
     """
-    if j < 3 or depth < 0:
+    if j < 3 or operator.index(depth) < 0:
         raise ValueError("need j >= 3 and depth >= 0")
     n_var = (j * (j - 1) ** (depth // 2) - 2) // (j - 2)
     n_chk = (j * (j - 1) ** ((depth + 1) // 2) - j) // (j - 2)
@@ -77,7 +78,7 @@ def neighborhood_max_counts(j: int, k: int, depth: int) -> tuple[int, int]:
     is 1 + sum_t j(j-1)^(t-1)(k-1)^t and the check count
     sum_t j(j-1)^(t-1)(k-1)^(t-1), truncated at the view depth.
     """
-    if j < 2 or k < 2 or depth < 0:
+    if j < 2 or k < 2 or operator.index(depth) < 0:
         raise ValueError("need j >= 2, k >= 2, depth >= 0")
     n_var = 1
     for t in range(1, depth // 2 + 1):
@@ -107,20 +108,19 @@ def block_regime_limit(j: int, k: int, n_vars: int) -> float:
 def weight_upper_bound(p: RegularParams) -> WeightBound:
     """Piecewise upper bound on the expected minimum local codeword weight.
 
-    Tree regime (small l): (j(j-1)^l - 2)/(j - 2).  Saturated regime
-    (large l): the block length N.  In between: the distinct-variable
-    ceiling of the depth-2l neighborhood.  The tree condition is tested
-    first; the value is kept real-valued because the channel bounds are
-    monotone in it and rounding would only weaken them.
+    Tree regime (small l): the variable count (j(j-1)^l - 2)/(j - 2) of
+    the valid tree of height 2l.  Saturated regime (large l): the block
+    length N.  In between: the distinct-variable ceiling of the depth-2l
+    neighborhood.  The tree condition is tested first; the value is a
+    float because the channel bounds take real weights.
     """
     l = p.iterations
     if l <= tree_regime_limit(p.j, p.k, p.n_vars, p.theta1):
-        value = (p.j * (p.j - 1) ** l - 2) / (p.j - 2)
-        return WeightBound(float(value), REGIME_TREE)
+        return WeightBound(float(valid_tree_counts(p.j, 2 * l)[0]), REGIME_TREE)
     if l > block_regime_limit(p.j, p.k, p.n_vars):
         return WeightBound(float(p.n_vars), REGIME_BLOCK)
-    value = (p.j * (p.k - 1) ** (l + 1) * (p.j - 1) ** l - p.k) / ((p.j - 1) * (p.k - 1) - 1)
-    return WeightBound(float(value), REGIME_NEIGHBORHOOD)
+    return WeightBound(float(neighborhood_max_counts(p.j, p.k, 2 * l)[0]),
+                       REGIME_NEIGHBORHOOD)
 
 
 def ber_lower_from_weight(channel: ChannelModel, weight: float) -> float:
@@ -252,7 +252,7 @@ def valid_tree_prob_lower(j: int, k: int, n_vars: int, iterations: int) -> float
     threshold and the regular check count N*j/k is an integer; violations
     raise RegimeError.  The value is floored at 0.
     """
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise RegimeError("iterations must be >= 0")
     if iterations > block_regime_limit(j, k, n_vars):
         raise RegimeError(

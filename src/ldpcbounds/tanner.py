@@ -12,11 +12,13 @@ label array or mask keeps one extra slot for the sentinel, which is
 always marked as seen.
 
 The decoders in `bp` run on the same tables transposed, the check-column
-layout: ``chk_cols`` row j holds the j-th variable of every check, so a
-per-check reduction is a loop over a few contiguous rows.  ``var_slots``
-locates each variable's edges in a ``chk_cols``-shaped array.  These
-tables are built on first use and cached, since most graphs, such as the
-oracle's thousands of small samples, never reach a decoder.
+layout: row j of ``chk_adj.T`` holds the j-th variable of every check, so
+a per-check reduction is a loop over a few rows.  The erasure decoder
+walks the transposed views as they are.  Float BP keeps a contiguous
+copy, ``chk_cols``, and ``var_slots``, which locates each variable's
+edges in a ``chk_cols``-shaped array; both are built on first use and
+cached, since most graphs, such as the oracle's thousands of small
+samples, never reach a float decoder.
 
 `_bfs_levels` serves the queries on a finished graph (`bfs_distances`,
 `distance`, `neighborhood` and `girth`).  Its levels alternate between the
@@ -146,12 +148,6 @@ class TannerGraph:
         """``chk_adj`` transposed: row j holds the j-th variable of every
         check, padded with ``n_vars``; the last column is the sentinel check."""
         return _read_only(self.chk_adj.T)
-
-    @cached_property
-    def var_cols(self) -> np.ndarray:
-        """``var_adj`` transposed: row i holds the i-th check of every
-        variable, padded with ``n_checks``; the last column is the sentinel."""
-        return _read_only(self.var_adj.T)
 
     @cached_property
     def var_slots(self) -> np.ndarray:
@@ -616,16 +612,14 @@ def peg_construct(n_vars: int, var_degrees, n_checks: int) -> TannerGraph:
     return TannerGraph(n_vars, n_checks, edges)
 
 
-def girth(g: TannerGraph, cutoff: int | None = None) -> float:
+def girth(g: TannerGraph) -> float:
     """Length of the shortest cycle, or ``math.inf`` for a forest.
 
     Runs one BFS per variable node.  A node at depth d with two or more
     neighbors at depth d-1 closes a walk of length 2d through the root,
     which contains a cycle of at most that length; the first such depth
-    over a root on a shortest cycle gives the girth exactly.  ``cutoff``
-    stops early once a cycle of at most that length has been found, so
-    the result is <= cutoff iff the girth is.  Intended for desk-scale
-    graphs.
+    over a root on a shortest cycle gives the girth exactly.  Intended
+    for desk-scale graphs.
     """
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
@@ -639,6 +633,4 @@ def girth(g: TannerGraph, cutoff: int | None = None) -> float:
                 break
         if best == 4:
             break  # bipartite minimum; nothing shorter exists
-        if cutoff is not None and best <= cutoff:
-            break
     return best

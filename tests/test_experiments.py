@@ -146,6 +146,28 @@ class TestValidate:
         report = validate(cfg)
         assert any("degenerates" in m for m in report.infos)
 
+    def test_regime_infos_match_the_bound(self, tmp_path):
+        # The regular thresholds at the maximum degrees (3.525 for
+        # saturation) do not apply here: bounds.csv has w = 11,144.6 at l=4.
+        cfg = make_config(kind="bounds", seed=1, ensemble=_FIGURE6_ENSEMBLE,
+                          channel={"type": "bec", "epsilon": 0.45},
+                          iterations=[1, 2, 3, 4, 5, 6])
+        infos = validate(cfg).infos
+        run(cfg, tmp_path)
+        _, rows = read_rows(tmp_path / "bounds.csv")
+        above = [int(r[0]) for r in rows if r[1] == "above-threshold"]
+        assert above
+        assert [int(re.match(r"l=(\d+) ", m)[1]) for m in infos] == above
+        assert not any(m.startswith("l=4 ") and "w=N" in m for m in infos)
+
+    @pytest.mark.parametrize("kind", ["de", "simulate", "oracle"])
+    def test_no_regime_infos_without_a_bound(self, kind):
+        cfg = make_config(kind=kind, seed=1, ensemble=REGULAR_ENSEMBLE,
+                          channel={"type": "bec", "epsilon": 0.5},
+                          iterations=[1, 9], trials=2, n_samples=1)
+        report = validate(cfg)
+        assert report.ok and report.infos == []
+
     def test_missing_alist(self, tmp_path):
         cfg = make_config(kind="simulate", seed=1, alist=str(tmp_path / "nope.alist"),
                           channel={"type": "bec", "epsilon": 0.5},

@@ -199,6 +199,10 @@ class TestBoundPoints:
         direct = closed_form_lower(Bec(0.2), RegularParams(3, 4, 5400, 2, 0.99))
         assert point.p_lower == direct.p_lower
 
+    def test_maxdeg_relaxation_rejects_float_iterations(self):
+        with pytest.raises(TypeError):
+            maxdeg_relaxation(Bec(0.2), X3, X4, 5400, 1.5, 0.99)
+
     def test_maxdeg_not_applicable_below_degree_three(self):
         low = DegreeDistribution("node", {2: 1.0})
         assert maxdeg_relaxation(Bec(0.1), low, X4, 1000, 2, 0.99) is None

@@ -265,9 +265,10 @@ class TestMinWeightRootOne:
         assert min_weight_root_one(local_system(g, 0, 1)) is None
 
     def test_capacity_guard(self, spec34_900):
+        # An l=3 window of a (3,4) N=900 graph has free dimension 190 or more.
         g = sample_graph(spec34_900, 51)
         with pytest.raises(CapacityError):
-            min_weight_root_one(local_system(g, 0, 3), max_free_dim=4)
+            min_weight_root_one(local_system(g, 0, 3))
 
 
 class TestValidTreeSearch:

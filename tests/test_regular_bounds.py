@@ -235,3 +235,35 @@ class TestValidTreeProbLower:
             valid_tree_prob_lower(3, 4, 900, 10)
         with pytest.raises(RegimeError):
             valid_tree_prob_lower(3, 5, 901, 1)
+
+
+class TestIntegerArguments:
+    """Degrees, block lengths, depths and iteration counts are integers: a
+    float raises TypeError, as in the harness, the oracle and the BFS."""
+
+    @pytest.mark.parametrize("field", ["j", "k", "n_vars", "iterations"])
+    def test_params_reject_floats(self, field):
+        # iterations=2.5 used to give a tree point of weight 14.97.
+        args = {"j": 3, "k": 4, "n_vars": 5400, "iterations": 2}
+        args[field] += 0.5
+        with pytest.raises(TypeError):
+            RegularParams(**args)
+
+    @pytest.mark.parametrize("count, args", [
+        (valid_tree_counts, (3, 4.5)),
+        (valid_tree_counts, (3, 4.0)),
+        (neighborhood_max_counts, (3, 4, 4.0)),
+        (valid_tree_prob_lower, (3, 4, 900, 1.0)),
+    ])
+    def test_counts_reject_float_depths(self, count, args):
+        with pytest.raises(TypeError):
+            count(*args)
+
+    def test_numpy_integers_pass(self):
+        j, k, n, l = np.int64(3), np.int32(4), np.int64(5400), np.int64(2)
+        assert weight_upper_bound(RegularParams(j, k, n, l)) == weight_upper_bound(
+            RegularParams(3, 4, 5400, 2))
+        assert valid_tree_counts(j, np.int64(4)) == (10, 9)
+        assert neighborhood_max_counts(j, k, np.int64(4)) == (64, 21)
+        assert valid_tree_prob_lower(j, k, np.int64(900), np.int64(1)) == \
+            valid_tree_prob_lower(3, 4, 900, 1)

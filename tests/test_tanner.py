@@ -472,15 +472,14 @@ class TestNeighborhood:
 
 class TestGirth:
     @settings(max_examples=150, deadline=None)
-    @given(small_graphs(), st.integers(0, 12))
-    def test_matches_networkx(self, g, cutoff):
+    @given(small_graphs())
+    def test_matches_networkx(self, g):
         nx = pytest.importorskip("networkx")
         h = nx.Graph()
         h.add_nodes_from(range(g.n_vars + g.n_checks))
         h.add_edges_from((int(v), g.n_vars + int(c)) for v, c in g.edges())
         want = nx.girth(h)
         assert girth(g) == want
-        assert (girth(g, cutoff=cutoff) <= cutoff) == (want <= cutoff)
 
 
 class TestPeg:
@@ -504,6 +503,9 @@ class TestPeg:
     # at the ring that reaches the last open check, counting the
     # variable's own open checks among those reached.
     @example((10, [2] * 8 + [3] * 6))
+    # A push step finds no new check: the search ends in a component
+    # before any ring is as large as the checks not reached yet.
+    @example((9, [4, 1, 1, 2, 2, 2, 2, 1, 3]))
     def test_matches_reference_peg(self, inputs):
         assert_matches_reference_peg(*inputs)
 
