@@ -74,6 +74,11 @@ class DegreeDistribution:
             )
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
 
+    def __hash__(self):
+        # The terms are stored sorted, so their items are a canonical key;
+        # this also makes an EnsembleSpec hashable.
+        return hash((self.perspective, tuple(self.terms.items())))
+
     @classmethod
     def regular(cls, degree: int, perspective: str = NODE) -> "DegreeDistribution":
         """Single-degree distribution x**degree (node) or x**(degree-1) (edge)."""

