@@ -63,7 +63,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import inf
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,7 +124,11 @@ class TannerGraph:
         """Set every field from a valid, simple edge set: the canonical edge
         list, each variable's checks variable by variable in ascending order,
         and the degrees.  Canonical order lists each check's variables in
-        ascending order, so ``edge_var`` fills ``chk_adj``."""
+        ascending order, so ``edge_var`` fills ``chk_adj``.  The edge list
+        and the degrees are made read-only, as the samples of an ensemble
+        share some of them."""
+        for shared in (edge_var, edge_chk, var_deg, chk_deg):
+            shared.flags.writeable = False
         self.n_vars = n_vars
         self.n_checks = n_checks
         self.edge_var = edge_var
@@ -395,46 +398,37 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
 # -- configuration-model sampling ----------------------------------------
 
 
-class _Sockets(NamedTuple):
-    """What an ensemble fixes for its sampler: the node counts, the degrees
-    and the sorted check sockets."""
-
-    n_vars: int
-    n_checks: int
-    var_deg: np.ndarray
-    chk_deg: np.ndarray
-    chk_sockets: np.ndarray
-
-
 @lru_cache(maxsize=4)
-def _sockets(spec: EnsembleSpec) -> _Sockets:
-    # Keyed on the spec's value: equal specs realize equal degrees.
+def _sockets(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What an ensemble fixes for its sampler: the degrees and the sorted
+    check sockets, read-only.  Keyed on the spec's value: equal specs
+    realize equal degrees."""
     var_deg, chk_deg = realize_degree_sequences(spec)
     chk_sockets = np.repeat(np.arange(spec.n_checks, dtype=np.int64), chk_deg)
     for shared in (var_deg, chk_deg, chk_sockets):
         shared.flags.writeable = False
-    return _Sockets(spec.n_vars, spec.n_checks, var_deg, chk_deg, chk_sockets)
+    return var_deg, chk_deg, chk_sockets
 
 
-def _from_matching(sockets: _Sockets, var_sockets: np.ndarray,
+def _from_matching(spec: EnsembleSpec, sockets: tuple, var_sockets: np.ndarray,
                    matched: np.ndarray) -> TannerGraph:
-    """The graph of a simple matching: socket i joins ``var_sockets[i]`` to
-    ``matched[i]``."""
-    n, m = sockets.n_vars, sockets.n_checks
+    """The graph of a simple matching of ``spec``'s ``sockets``: socket i
+    joins ``var_sockets[i]`` to ``matched[i]``."""
+    n, m = spec.n_vars, spec.n_checks
+    var_deg, chk_deg, chk_sockets = sockets
     # Canonical order sorts on (check, variable), so its checks are the
     # sorted check sockets, and each key minus its check's part is the
     # variable.  Sorting on (variable, check) lists each variable's checks.
     edge_var = matched * n
     edge_var += var_sockets
     edge_var.sort()
-    edge_var -= sockets.chk_sockets * n
+    edge_var -= chk_sockets * n
     var_part = var_sockets * m
     by_var = var_part + matched
     by_var.sort()
     by_var -= var_part
     g = TannerGraph.__new__(TannerGraph)
-    g._set_tables(n, m, edge_var, sockets.chk_sockets, by_var, sockets.var_deg,
-                  sockets.chk_deg)
+    g._set_tables(n, m, edge_var, chk_sockets, by_var, var_deg, chk_deg)
     return g
 
 
@@ -459,19 +453,20 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     sockets = _sockets(spec)
+    var_deg, _, chk_sockets = sockets
     # Made per call: kept in the cache, these arrays would add their O(E)
     # bytes to the peak memory of every later step.
-    var_sockets = np.repeat(np.arange(sockets.n_vars, dtype=np.int64), sockets.var_deg)
+    var_sockets = np.repeat(np.arange(spec.n_vars, dtype=np.int64), var_deg)
     same_var = [var_sockets[:-k] == var_sockets[k:]
-                for k in range(1, int(sockets.var_deg.max(initial=0)))]
+                for k in range(1, int(var_deg.max(initial=0)))]
     rng = as_generator(seed)
-    matched = np.empty_like(sockets.chk_sockets)
+    matched = np.empty_like(chk_sockets)
     clash = np.empty(matched.size, dtype=bool)
     for attempt in range(1, max_attempts + 1):
         # Shuffling a copy makes the same swaps as permuting an arange, so
         # this is ``chk_sockets[rng.permutation(matched.size)]`` without the
         # gather.
-        np.copyto(matched, sockets.chk_sockets)
+        np.copyto(matched, chk_sockets)
         rng.shuffle(matched)
         for k, same in enumerate(same_var, 1):
             hit = np.equal(matched[:-k], matched[k:], out=clash[:-k])
@@ -479,7 +474,7 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
             if np.count_nonzero(hit):
                 break
         else:
-            return _from_matching(sockets, var_sockets, matched), attempt
+            return _from_matching(spec, sockets, var_sockets, matched), attempt
     raise SamplingFailureError(
         f"no simple configuration found in {max_attempts} attempts", attempts=max_attempts
     )

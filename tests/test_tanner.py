@@ -250,6 +250,18 @@ class TestTannerGraph:
         b = TannerGraph(3, 2, [(2, 0), (0, 0), (1, 1)])
         assert a == b
 
+    @pytest.mark.parametrize("name", ["edge_var", "edge_chk"])
+    @pytest.mark.parametrize("built", ["constructed", "sampled"])
+    def test_edge_list_is_read_only(self, built, name):
+        # A sampled graph shares its edge_chk with the other samples of its
+        # ensemble; a constructed one must behave the same.
+        g = sample_graph(EnsembleSpec(60, DegreeDistribution.regular(3),
+                                      DegreeDistribution.regular(4)), 1)
+        if built == "constructed":
+            g = TannerGraph(g.n_vars, g.n_checks, g.edges())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1
+
     @settings(max_examples=100, deadline=None)
     @given(small_graphs(), st.randoms(use_true_random=False))
     def test_array_input_matches_pair_list(self, g, rnd):
