@@ -1,4 +1,4 @@
-"""Small shared helpers: seeding, node counts and deterministic number formatting."""
+"""Small shared helpers: seeding, integer arguments and deterministic number formatting."""
 
 from __future__ import annotations
 
@@ -16,19 +16,21 @@ STREAM_ORACLE_GRAPH = 5
 STREAM_ORACLE_NODE = 6
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
 def derived_rng(master_seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator for one unit of work, stable under any execution order."""
-    ss = np.random.SeedSequence((int(master_seed), int(stream), int(index)))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.default_rng((master_seed, stream, index))
+
+
+def at_least(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int: any integer type, never truncated.  Anything
+    else raises ``TypeError`` and a value below ``minimum`` ``ValueError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
 def node_count(value, error: type[Exception]) -> int:

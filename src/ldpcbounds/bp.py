@@ -40,11 +40,11 @@ The BEC's infinite LLRs go only there, as the erasure pattern
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import at_least
 from .tanner import TannerGraph
 
 LLR_CLAMP = 50.0
@@ -111,8 +111,7 @@ def float_bp(g: TannerGraph, llr, iterations: int):
     be finite (``ValueError`` otherwise); erasure-channel outputs go to
     ``bec_unresolved``.
     """
-    if operator.index(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (g.n_vars,):
         raise ValueError(f"llr must have length {g.n_vars}")
@@ -177,8 +176,7 @@ def bec_unresolved(g: TannerGraph, erased, iterations: int):
     ``chk_adj.T`` and ``var_adj.T``, in the smallest unsigned dtype that
     holds the largest check degree, so any alist degree is safe.
     """
-    if operator.index(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     erased = np.asarray(erased, dtype=bool)
     if erased.ndim != 2 or erased.shape[1] != g.n_vars:
         raise ValueError(f"erased must have shape (trials, {g.n_vars})")

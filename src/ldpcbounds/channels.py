@@ -14,8 +14,6 @@ from typing import Union
 
 import numpy as np
 
-from ._util import as_generator
-
 
 @dataclass(frozen=True)
 class Bec:
@@ -64,7 +62,7 @@ def transmit(codeword, channel: ChannelModel, seed) -> np.ndarray:
     +/- ln((1-q)/q); AWGN outputs are 2y/sigma2 for y = (1-2s) + noise.
     """
     s = np.asarray(codeword, dtype=np.int8)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = s.size
     if isinstance(channel, Bec):
         erased = rng.random(n) < channel.epsilon

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import at_least
 from .degrees import DegreeDistribution, edge_perspective
 
 
@@ -45,8 +46,7 @@ def de_bec(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon outside [0, 1]")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     lam = edge_perspective(var_dist)
     rho = edge_perspective(check_dist)
     x = np.empty(iterations + 1)
@@ -120,8 +120,7 @@ def ga_awgn(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
     """
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     lam = edge_perspective(var_dist)
     rho = edge_perspective(check_dist)
     s = 2.0 / sigma2

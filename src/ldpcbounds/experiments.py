@@ -26,8 +26,8 @@ from .degrees import (EDGE, NODE, DegreeDistribution, EnsembleSpec, node_perspec
                       realize_degree_sequences)
 from .density_evolution import de_bec, ga_awgn
 from .errors import CapacityError, ConfigError, LdpcBoundsError
-from .irregular import (BRANCH_BELOW, empirical_tail, irregular_lower_bound,
-                        tail_distribution, weight_recursion)
+from .irregular import (BRANCH_BELOW, RecursionTrace, empirical_tail,
+                        irregular_lower_bound, tail_distribution, weight_recursion)
 from .oracle import expected_min_weight_mc
 from .regular_bounds import (REGIME_BLOCK, REGIME_TREE, RegularParams, closed_form_lower,
                              gamma_transform, lentmaier_fit_a0, lentmaier_upper,
@@ -238,14 +238,18 @@ def _spec_is_regular(spec: EnsembleSpec) -> bool:
 
 @dataclass
 class ValidationReport:
-    """Findings of ``validate``, plus the ensemble, channel and channel
-    notes it built, which ``run`` hands to the kind's handler."""
+    """Findings of ``validate``, plus what it built, which ``run`` hands to
+    the kind's handler: the ensemble, the channel and its notes, and the
+    lower-bound points at ``config.iterations`` (kinds ``bounds`` and
+    ``figure5``) or the recursion trace (kind ``recursion``)."""
 
     errors: list[str] = field(default_factory=list)
     infos: list[str] = field(default_factory=list)
     spec: EnsembleSpec | None = None
     channel: ChannelModel | None = None
     notes: dict = field(default_factory=dict)
+    points: list = field(default_factory=list)
+    trace: RecursionTrace | None = None
 
     @property
     def ok(self) -> bool:
@@ -259,6 +263,7 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     bound, which takes microseconds per iteration count and raises the
     bound's own argument errors; each computed bound point outside the
     tree or below-threshold regime gets an info line naming its regime.
+    The report keeps the points or the trace, which the handler writes.
     Runs no density evolution, sampling or simulation.
     """
     report = ValidationReport(errors=_block_errors(vars(config), _CONFIG_KEYS))
@@ -298,12 +303,13 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     if not report.errors and kind in ("bounds", "figure5", "recursion"):
         try:
             if kind == "recursion":
-                trace = weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
-                                         max(config.iterations), config.theta1)
-                regimes = [(trace.iterations, trace.branch)]
+                report.trace = weight_recursion(spec.var_dist, spec.check_dist,
+                                                spec.n_vars, max(config.iterations),
+                                                config.theta1)
+                regimes = [(report.trace.iterations, report.trace.branch)]
             else:
-                regimes = [(p.iterations, p.regime) for p in
-                           _lower_bounds(config, spec, report.channel, config.iterations)]
+                report.points = _lower_bounds(config, spec, report.channel)
+                regimes = [(p.iterations, p.regime) for p in report.points]
         except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"weight bound: {exc}")
         else:
@@ -338,31 +344,33 @@ def _safe_gamma(p) -> float | None:
 
 
 def _lower_bounds(config: ExperimentConfig, spec: EnsembleSpec,
-                  channel: ChannelModel, iterations: list[int]) -> list:
-    """Lower-bound point at each l: closed form if regular, recursion otherwise."""
+                  channel: ChannelModel) -> list:
+    """Lower-bound point at each configured l: closed form if regular,
+    recursion otherwise."""
     if _spec_is_regular(spec):
         j, k = spec.var_dist.max_degree, spec.check_dist.max_degree
         return [closed_form_lower(channel, RegularParams(
                     j=j, k=k, n_vars=spec.n_vars, iterations=l, theta1=config.theta1))
-                for l in iterations]
+                for l in config.iterations]
     return [irregular_lower_bound(channel, spec.var_dist, spec.check_dist,
                                   spec.n_vars, l, config.theta1)
-            for l in iterations]
+            for l in config.iterations]
 
 
-def _de_trace(config: ExperimentConfig, spec: EnsembleSpec, channel: ChannelModel,
-              notes: dict):
+def _de_trace(config: ExperimentConfig, report: ValidationReport):
+    spec, channel = report.spec, report.channel
     l_max = max(config.iterations)
     if isinstance(channel, Bec):
-        notes["de_label"] = "DE (exact, BEC)"
+        report.notes["de_label"] = "DE (exact, BEC)"
         return de_bec(spec.var_dist, spec.check_dist, channel.epsilon, l_max)
-    notes["de_label"] = "DE (Gaussian approx., AWGN)"
+    report.notes["de_label"] = "DE (Gaussian approx., AWGN)"
     return ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
 
 
-def _simulated_rows(config: ExperimentConfig, spec: EnsembleSpec | None,
-                    channel: ChannelModel, iterations: list[int]) -> list[list]:
+def _simulated_rows(config: ExperimentConfig, report: ValidationReport,
+                    iterations: list[int]) -> list[list]:
     """BER rows from one Monte Carlo sweep over the configured code."""
+    spec = report.spec
     if config.alist is not None:
         code = load_alist(config.alist)
     elif config.code == "ensemble":
@@ -370,49 +378,47 @@ def _simulated_rows(config: ExperimentConfig, spec: EnsembleSpec | None,
     else:
         var_degrees, _ = realize_degree_sequences(spec)
         code = peg_construct(spec.n_vars, np.sort(var_degrees), spec.n_checks)
-    ests = estimate_ber_curve(code, channel, iterations, config.trials, config.seed,
+    ests = estimate_ber_curve(code, report.channel, iterations, config.trials, config.seed,
                               threads=config.threads,
                               trials_per_block=config.trials_per_block)
     return [[l, est.ber, est.std_error, est.n_trials, est.n_bits]
             for l, est in zip(iterations, ests)]
 
 
-def _bounds(config, spec, channel, notes) -> dict:
-    j = spec.var_dist.max_degree
+def _bounds(config, report) -> dict:
+    j = report.spec.var_dist.max_degree
     upper = config.a0 is not None and j >= 3
     if upper:
-        notes["upper_bound_label"] = "form-only upper bound (a0 supplied)"
-    points = _lower_bounds(config, spec, channel, config.iterations)
+        report.notes["upper_bound_label"] = "form-only upper bound (a0 supplied)"
     return {"bounds.csv": [[p.iterations, p.regime, p.weight, p.p_lower, p.gamma_lower,
-                            lentmaier_upper(j, l, config.a0) if upper else None,
+                            lentmaier_upper(j, p.iterations, config.a0) if upper else None,
                             p.p_lower_relaxed]
-                           for l, p in zip(config.iterations, points)]}
+                           for p in report.points]}
 
 
-def _de(config, spec, channel, notes) -> dict:
-    trace = _de_trace(config, spec, channel, notes)
+def _de(config, report) -> dict:
+    trace = _de_trace(config, report)
     return {"de.csv": [[t, trace.message_error[t], trace.ber[t]]
                        for t in range(trace.ber.size)]}
 
 
-def _simulate(config, spec, channel, notes) -> dict:
-    return {"simulate.csv": _simulated_rows(config, spec, channel, config.iterations)}
+def _simulate(config, report) -> dict:
+    return {"simulate.csv": _simulated_rows(config, report, config.iterations)}
 
 
-def _recursion(config, spec, channel, notes) -> dict:
-    l_max = max(config.iterations)
-    trace = weight_recursion(spec.var_dist, spec.check_dist, spec.n_vars,
-                             l_max, config.theta1)
-    notes.update(w_ub=trace.w_ub, l1=trace.l1, branch=trace.branch)
+def _recursion(config, report) -> dict:
+    trace = report.trace
+    report.notes.update(w_ub=trace.w_ub, l1=trace.l1, branch=trace.branch)
     return {"recursion.csv": [[t, trace.p_tilde_even[t - 1], trace.p_tilde_odd[t - 1],
                                trace.p_survival[t - 1]]
-                              for t in range(1, l_max + 1)]}
+                              for t in range(1, trace.iterations + 1)]}
 
 
-def _tail(config, spec, channel, notes) -> dict:
+def _tail(config, report) -> dict:
+    spec = report.spec
     tail = tail_distribution(spec.var_dist, spec.check_dist, spec.n_vars,
                              config.d_max)
-    notes["conventions"] = {
+    report.notes["conventions"] = {
         "tail_recursion": "conditioned on the two nodes being distinct",
         "tail_recursion_incl_root": "unconditioned second draw (may equal the first)",
     }
@@ -420,35 +426,37 @@ def _tail(config, spec, channel, notes) -> dict:
                          for d in range(config.d_max + 1)]}
 
 
-def _figure6(config, spec, channel, notes) -> dict:
+def _figure6(config, report) -> dict:
+    spec = report.spec
     tail = tail_distribution(spec.var_dist, spec.check_dist, spec.n_vars,
                              config.d_max)
     emp = empirical_tail(spec, config.d_max, config.n_instances,
                          config.pairs_per_instance, config.seed)
-    notes["n_pairs"] = emp.n_pairs
+    report.notes["n_pairs"] = emp.n_pairs
     return {"figure6.csv": [[d, tail.survival[d], emp.survival[d], emp.std_error[d]]
                             for d in range(config.d_max + 1)]}
 
 
-def _oracle(config, spec, channel, notes) -> dict:
+def _oracle(config, report) -> dict:
     l = max(config.iterations) if config.iterations else 1
-    est = expected_min_weight_mc(spec, l, config.n_samples, config.seed)
+    est = expected_min_weight_mc(report.spec, l, config.n_samples, config.seed)
     if est.capacity_skipped == est.n_samples:
         raise CapacityError(
             f"all {est.n_samples} samples exceeded the free-dimension guard; "
             "shrink the iteration count or the block length")
-    notes["iterations"] = l
+    report.notes["iterations"] = l
     return {"oracle.csv": [[est.n_samples, est.mean, est.std_error,
                             est.infeasible_count, est.capacity_skipped]],
             "oracle_weights.csv": [[i, int(w)] for i, w in enumerate(est.weights)]}
 
 
-def _figure5(config, spec, channel, notes) -> dict:
+def _figure5(config, report) -> dict:
+    spec, notes = report.spec, report.notes
     j = spec.var_dist.max_degree
     iters = sorted(config.iterations)
-    lower = _lower_bounds(config, spec, channel, iters)
-    trace = _de_trace(config, spec, channel, notes)
-    sim_rows = _simulated_rows(config, spec, channel, iters)
+    lower = sorted(report.points, key=lambda point: point.iterations)
+    trace = _de_trace(config, report)
+    sim_rows = _simulated_rows(config, report, iters)
 
     if config.a0 is not None:
         a0 = config.a0
@@ -474,8 +482,8 @@ def _figure5(config, spec, channel, notes) -> dict:
 
 
 # kind -> (handler, fields it requires), in the command line's order.  A
-# handler takes (config, spec, channel, notes) once validate() has passed,
-# may add to notes, and returns {file name: rows} for run() to write.
+# handler takes (config, report) once validate() has passed, may add to
+# report.notes, and returns {file name: rows} for run() to write.
 # Every rule on the config itself is in validate(); a handler raises only
 # on computed data (the a0 anchor fit, the oracle's capacity guard).
 _KINDS = {
@@ -504,7 +512,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     if not report.ok:
         raise ConfigError("; ".join(report.errors))
     started = datetime.now(timezone.utc).isoformat()
-    tables = _KINDS[config.kind][0](config, report.spec, report.channel, report.notes)
+    tables = _KINDS[config.kind][0](config, report)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)

@@ -21,7 +21,7 @@ from math import inf
 
 import numpy as np
 
-from ._util import STREAM_TAIL_GRAPH, STREAM_TAIL_PAIRS, derived_rng
+from ._util import STREAM_TAIL_GRAPH, STREAM_TAIL_PAIRS, at_least, derived_rng
 from .channels import ChannelModel
 from .degrees import DegreeDistribution, EnsembleSpec, edge_perspective
 from .errors import InvalidDistributionError
@@ -101,10 +101,8 @@ def weight_recursion(var_dist: DegreeDistribution, check_dist: DegreeDistributio
     iteration count.  The survival product is accumulated in log space so
     the bound keeps precision when it approaches N.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if n_vars < 2:
-        raise ValueError("n_vars must be >= 2")
+    iterations = at_least(iterations, "iterations", 1)
+    n_vars = at_least(n_vars, "n_vars", 2)
     l1 = l1_threshold(var_dist, check_dist, n_vars, theta1)
     below = iterations <= l1
     branch = BRANCH_BELOW if below else BRANCH_ABOVE
@@ -154,8 +152,7 @@ def tail_distribution(var_dist: DegreeDistribution, check_dist: DegreeDistributi
     distances are pass-through: variable-to-variable distances in a
     bipartite graph are even.
     """
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
+    d_max = at_least(d_max, "d_max")
     values = np.ones(d_max + 1)
     if d_max >= 2:
         steps = d_max // 2
@@ -179,8 +176,9 @@ def empirical_tail(spec: EnsembleSpec, d_max: int, n_instances: int,
     inside the variance so an empirical proportion of exactly 0 or 1
     still reports a nonzero uncertainty.  Deterministic per seed.
     """
-    if n_instances < 1 or pairs_per_instance < 1:
-        raise ValueError("need at least one instance and one pair")
+    d_max = at_least(d_max, "d_max")
+    n_instances = at_least(n_instances, "n_instances", 1)
+    pairs_per_instance = at_least(pairs_per_instance, "pairs_per_instance", 1)
     exceed = np.zeros(d_max + 1, dtype=np.int64)
     n_pairs = n_instances * pairs_per_instance
     for i in range(n_instances):

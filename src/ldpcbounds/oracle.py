@@ -22,13 +22,12 @@ later; the claims are released on backtrack.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from ._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, derived_rng
+from ._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, at_least, derived_rng
 from .degrees import EnsembleSpec
 from .errors import CapacityError
 from .tanner import TannerGraph, bfs_distances, sample_graph
@@ -65,8 +64,7 @@ def local_system(g: TannerGraph, v: int, iterations: int) -> Gf2System:
     BFS cut at depth 2l labels exactly these nodes: checks sit at odd
     depths, so every labelled check is within 2l-1.
     """
-    if operator.index(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=2 * iterations)
     variables = np.concatenate(([v], np.flatnonzero(var_dist > 0)))  # root first
     # Local index per graph variable; the sentinel slot of ``chk_adj``
@@ -191,8 +189,7 @@ def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | No
     the first subtree of full height in that order, or None when none
     exists.
     """
-    if operator.index(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     height = 2 * iterations + 1
     var_dist, chk_dist = (d.tolist() for d in bfs_distances(g, v, max_depth=height))
 
@@ -267,8 +264,8 @@ class MinWeightEstimate:
 def expected_min_weight_mc(spec: EnsembleSpec, iterations: int, n_samples: int,
                            seed: int) -> MinWeightEstimate:
     """Two-stage Monte Carlo: fresh graph per sample, then a uniform root."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    iterations = at_least(iterations, "iterations")
+    n_samples = at_least(n_samples, "n_samples", 1)
     weights = []
     infeasible = 0
     skipped = 0

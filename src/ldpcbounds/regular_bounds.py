@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from math import exp, log, log2, pi, sqrt
 
+from ._util import at_least
 from .channels import Bec, Biawgn, Bsc, ChannelModel
 from .density_evolution import q_function
 from .errors import RegimeError
@@ -47,10 +48,8 @@ class RegularParams:
             raise ValueError("variable degree must be >= 3 for the closed-form bound")
         if operator.index(self.k) < 2:
             raise ValueError("check degree must be >= 2")
-        if operator.index(self.n_vars) < 2:
-            raise ValueError("n_vars must be >= 2")
-        if operator.index(self.iterations) < 0:
-            raise ValueError("iterations must be >= 0")
+        at_least(self.n_vars, "n_vars", 2)
+        at_least(self.iterations, "iterations")
         if not 0.0 < self.theta1 < 1.0:
             raise ValueError("theta1 must lie in (0, 1)")
         if (self.n_vars * self.j) % self.k != 0:
@@ -252,8 +251,7 @@ def valid_tree_prob_lower(j: int, k: int, n_vars: int, iterations: int) -> float
     threshold and the regular check count N*j/k is an integer; violations
     raise RegimeError.  The value is floored at 0.
     """
-    if operator.index(iterations) < 0:
-        raise RegimeError("iterations must be >= 0")
+    iterations = at_least(iterations, "iterations")
     if iterations > block_regime_limit(j, k, n_vars):
         raise RegimeError(
             f"iterations {iterations} beyond the validity window "

@@ -20,13 +20,12 @@ trial sees the same noise and graph at every iteration count.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import STREAM_GRAPH, STREAM_TRIAL, derived_rng
+from ._util import STREAM_GRAPH, STREAM_TRIAL, at_least, derived_rng
 from .bp import bec_unresolved, float_bp
 from .channels import Bec, ChannelModel, transmit
 from .degrees import EnsembleSpec
@@ -49,14 +48,6 @@ class BerEstimate:
     n_trials: int
     n_bits: int
     half_error_units: int
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int: any integer type, else ``TypeError``, never truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name}: expected an integer, got {value!r}") from None
 
 
 def _trial_llr(graph: TannerGraph, channel: ChannelModel, seed: int,
@@ -147,17 +138,11 @@ def estimate_ber_curve(code, channel: ChannelModel, iterations, n_trials: int,
     list[BerEstimate]
         One estimate per entry of ``iterations``, in the same order.
     """
-    n_trials = _count("n_trials", n_trials)
-    trials_per_block = _count("trials_per_block", trials_per_block)
-    iterations = [_count("iterations", l) for l in iterations]
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if trials_per_block < 1:
-        raise ValueError("trials_per_block must be >= 1")
+    n_trials = at_least(n_trials, "n_trials", 1)
+    trials_per_block = at_least(trials_per_block, "trials_per_block", 1)
+    iterations = [at_least(l, "iterations") for l in iterations]
     if not iterations:
         raise ValueError("iterations must not be empty")
-    if min(iterations) < 0:
-        raise ValueError("iterations must be >= 0")
     if not isinstance(code, (TannerGraph, EnsembleSpec)):
         raise TypeError("code must be a TannerGraph or an EnsembleSpec")
 

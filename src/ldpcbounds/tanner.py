@@ -66,7 +66,7 @@ from math import inf
 
 import numpy as np
 
-from ._util import as_generator, node_count
+from ._util import at_least, node_count
 from .degrees import EnsembleSpec, realize_degree_sequences
 from .errors import ConstructionError, InvalidSpecError, SamplingFailureError
 
@@ -134,32 +134,24 @@ class TannerGraph:
         self.edge_var = edge_var
         self.edge_chk = edge_chk
         self.n_edges = int(edge_var.size)
-        self._var_deg = var_deg
-        self._chk_deg = chk_deg
+        self.var_degrees = var_deg
+        self.check_degrees = chk_deg
         self.var_adj = _pad_rows(var_deg, by_var, n_checks)
         self.chk_adj = _pad_rows(chk_deg, edge_var, n_vars)
 
     # -- basic accessors -------------------------------------------------
 
-    @property
-    def var_degrees(self) -> np.ndarray:
-        return self._var_deg.copy()
-
-    @property
-    def check_degrees(self) -> np.ndarray:
-        return self._chk_deg.copy()
-
     def var_neighbors(self, v: int) -> np.ndarray:
         """Check nodes adjacent to variable v, in ascending order."""
         if not 0 <= v < self.n_vars:  # row n_vars and row -1 are the sentinel row
             raise IndexError(f"variable index {v} out of range")
-        return self.var_adj[v, :self._var_deg[v]]
+        return self.var_adj[v, :self.var_degrees[v]]
 
     def check_neighbors(self, c: int) -> np.ndarray:
         """Variable nodes adjacent to check c, in ascending order."""
         if not 0 <= c < self.n_checks:
             raise IndexError(f"check index {c} out of range")
-        return self.chk_adj[c, :self._chk_deg[c]]
+        return self.chk_adj[c, :self.check_degrees[c]]
 
     def edges(self) -> np.ndarray:
         """Canonical (var, check) edge array, shape (E, 2)."""
@@ -180,11 +172,11 @@ class TannerGraph:
         Padding points at slot ``n_checks``, row 0 of the sentinel column."""
         # Canonical edge e sits in column edge_chk[e], at its position
         # within that check's edges.
-        starts = np.cumsum(self._chk_deg) - self._chk_deg
+        starts = np.cumsum(self.check_degrees) - self.check_degrees
         position = np.arange(self.n_edges) - starts[self.edge_chk]
         flat = position * (self.n_checks + 1) + self.edge_chk
         by_var = np.argsort(self.edge_var * self.n_checks + self.edge_chk)
-        slots = _pad_rows(self._var_deg, flat[by_var], self.n_checks)
+        slots = _pad_rows(self.var_degrees, flat[by_var], self.n_checks)
         return _read_only(slots[:-1].T)
 
     def __eq__(self, other):
@@ -293,7 +285,7 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
     reached within ``max_depth``, an integer or None for no limit.
     """
     root = _var_index(g, root)
-    max_depth = None if max_depth is None else operator.index(max_depth)
+    max_depth = None if max_depth is None else at_least(max_depth, "max_depth")
     var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
     chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
     for _ in _bfs_levels(g, root, var_dist, chk_dist, max_depth):
@@ -316,7 +308,7 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
     reaches ``max_depth`` without a meeting can stop.
     """
     vi, vj = _var_index(g, vi), _var_index(g, vj)
-    max_depth = None if max_depth is None else operator.index(max_depth)
+    max_depth = None if max_depth is None else at_least(max_depth, "max_depth")
     if vi == vj:
         return 0
     labels, levels = [], []
@@ -378,8 +370,7 @@ def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
     the induced edge count equals the induced node count minus one.
     """
     v = _var_index(g, v)
-    if operator.index(k) < 0:
-        raise ValueError("depth must be >= 0")
+    k = at_least(k, "depth")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=k)
     levels = []
     for d in range(k + 1):
@@ -449,9 +440,7 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     specs, and the accepted graph is built from its matching (see the
     module docstring).
     """
-    max_attempts = operator.index(max_attempts)
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    max_attempts = at_least(max_attempts, "max_attempts", 1)
     sockets = _sockets(spec)
     var_deg, _, chk_sockets = sockets
     # Made per call: kept in the cache, these arrays would add their O(E)
@@ -459,7 +448,7 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     var_sockets = np.repeat(np.arange(spec.n_vars, dtype=np.int64), var_deg)
     same_var = [var_sockets[:-k] == var_sockets[k:]
                 for k in range(1, int(var_deg.max(initial=0)))]
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     matched = np.empty_like(chk_sockets)
     clash = np.empty(matched.size, dtype=bool)
     for attempt in range(1, max_attempts + 1):

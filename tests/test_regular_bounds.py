@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpcbounds import (Bec, Biawgn, Bsc, RegimeError, RegularParams,
-                        ber_lower_from_weight, block_regime_limit,
-                        chernoff_q_lower, closed_form_lower, gamma_transform,
-                        lentmaier_fit_a0, lentmaier_upper, lentmaier_validity_limit,
-                        neg_log2_ber_lower, neighborhood_max_counts, q_function,
-                        tree_regime_limit, valid_tree_counts,
+from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
+                        RegimeError, RegularParams, ber_lower_from_weight,
+                        block_regime_limit, chernoff_q_lower, closed_form_lower,
+                        distance, empirical_tail, estimate_ber, expected_min_weight_mc,
+                        gamma_transform, lentmaier_fit_a0, lentmaier_upper,
+                        lentmaier_validity_limit, neg_log2_ber_lower,
+                        neighborhood_max_counts, q_function, sample_graph,
+                        transmit, tree_regime_limit, valid_tree_counts,
                         valid_tree_prob_lower, weight_upper_bound)
 from ldpcbounds.regular_bounds import REGIME_BLOCK, REGIME_NEIGHBORHOOD, REGIME_TREE
+from ldpcbounds.tanner import bfs_distances
+
+SPEC_40 = EnsembleSpec(40, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
 
 
 class TestValidTreeCounts:
@@ -267,3 +273,53 @@ class TestIntegerArguments:
         assert neighborhood_max_counts(j, k, np.int64(4)) == (64, 21)
         assert valid_tree_prob_lower(j, k, np.int64(900), np.int64(1)) == \
             valid_tree_prob_lower(3, 4, 900, 1)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestOneIntegerRule:
+    """Counts, depths, iteration counts and seeds of the public entry points
+    follow one rule: any integer type works, anything else raises TypeError
+    and a value below the minimum raises ValueError."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda g: sample_graph(SPEC_40, 1.5), TypeError),
+        (lambda g: transmit(np.zeros(g.n_vars, np.int8), Bec(0.3), 1.5), TypeError),
+        (lambda g: estimate_ber(g, Bec(0.3), 1, 5, 1.5), TypeError),
+        (lambda g: expected_min_weight_mc(SPEC_40, 1, 2, 1.5), TypeError),
+        (lambda g: empirical_tail(SPEC_40, 4, 1, 2, 1.5), TypeError),
+        # Each of these used to return: the root alone, inf for a pair at
+        # distance 4, and empty arrays.
+        (lambda g: bfs_distances(g, 0, max_depth=-1), ValueError),
+        (lambda g: distance(g, 1, 4, max_depth=-2), ValueError),
+        (lambda g: empirical_tail(SPEC_40, -1, 1, 2, 7), ValueError),
+    ], ids=["sample_graph-seed", "transmit-seed", "estimate_ber-seed",
+            "expected_min_weight_mc-seed", "empirical_tail-seed",
+            "bfs_distances-max_depth", "distance-max_depth", "empirical_tail-d_max"])
+    def test_rejects(self, tree_graph, call, error):
+        with pytest.raises(error):
+            call(tree_graph)
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint8],
+                             ids=["int", "int64", "int32", "uint8"])
+    def test_integer_types_agree(self, cast):
+        # The pinned values were computed with plain ints before seeds went
+        # through ``np.random.default_rng``.
+        seed, n, depth, pairs, l = (cast(x) for x in (3, 2, 4, 5, 1))
+        g = sample_graph(SPEC_40, seed)
+        assert _digest(g.edge_var, g.edge_chk) == "6751784ddb5d4276"
+        assert _digest(*bfs_distances(g, 0, max_depth=depth)) == "47211a7c902d7e8e"
+        llr = transmit(np.zeros(40, np.int8), Bec(0.3), seed)
+        assert _digest(llr) == "d5c648329e278862"
+        est = estimate_ber(SPEC_40, Bec(0.4), cast(3), n * cast(5), cast(7),
+                           trials_per_block=pairs)
+        assert est.half_error_units == 21
+        weights = expected_min_weight_mc(SPEC_40, l, n * cast(3), cast(7)).weights
+        assert weights.tolist() == [4, 4, 3, 3, 3, 3]
+        tail = empirical_tail(SPEC_40, depth, n, pairs, cast(7))
+        assert _digest(tail.survival) == "475e42f287519624"

@@ -14,7 +14,6 @@ from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
                         InvalidSpecError, SamplingFailureError, TannerGraph,
                         distance, girth, neighborhood, peg_construct,
                         sample_graph, sample_graph_with_attempts)
-from ldpcbounds._util import as_generator
 from ldpcbounds.degrees import realize_degree_sequences
 from ldpcbounds.tanner import bfs_distances
 
@@ -72,7 +71,7 @@ def reference_sample(var_degrees, check_degrees, seed, max_attempts):
     var_sockets = np.repeat(np.arange(n, dtype=np.int64), var_degrees)
     chk_sockets = np.repeat(np.arange(m, dtype=np.int64), check_degrees)
     n_edges = var_sockets.size
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     for attempt in range(1, max_attempts + 1):
         matched = chk_sockets[rng.permutation(n_edges)]
         key = var_sockets * m + matched
