@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2, transmit
 from .degrees import (DegreeDistribution, EnsembleSpec, edge_perspective,
                       node_perspective, realize_degree_sequences)
-from .tanner import (NeighborhoodView, TannerGraph, distance, girth,
-                     neighborhood, peg_construct, sample_graph,
+from .tanner import (TannerGraph, distance, girth, peg_construct, sample_graph,
                      sample_graph_with_attempts)
 from .alist import load_alist, save_alist
 from .bp import DecodeResult, bec_unresolved, decode, float_bp
@@ -31,9 +30,9 @@ from .regular_bounds import (BoundPoint, RegularParams, WeightBound,
 from .irregular import (RecursionTrace, TailDistribution, empirical_tail,
                         irregular_lower_bound, l1_threshold, maxdeg_relaxation,
                         tail_distribution, weight_recursion)
-from .oracle import (Gf2System, MinWeightEstimate, ValidTree,
+from .oracle import (Gf2System, MinWeightEstimate, ValidTree, Window,
                      expected_min_weight_mc, local_system, min_weight_root_one,
-                     valid_tree_search)
+                     valid_tree_search, window, windows)
 from .errors import (AlistParseError, CapacityError, ConfigError,
                      ConstructionError, InvalidDistributionError,
                      InvalidSpecError, LdpcBoundsError, RegimeError,

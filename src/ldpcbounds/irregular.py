@@ -152,6 +152,7 @@ def tail_distribution(var_dist: DegreeDistribution, check_dist: DegreeDistributi
     distances are pass-through: variable-to-variable distances in a
     bipartite graph are even.
     """
+    n_vars = at_least(n_vars, "n_vars", 2)
     d_max = at_least(d_max, "d_max")
     values = np.ones(d_max + 1)
     if d_max >= 2:

@@ -1,6 +1,12 @@
 """Ground-truth minimum-weight computation on small decoding neighborhoods.
 
-A depth-limited neighborhood of a variable node induces a local GF(2)
+Every per-root query runs on one `Window`: a graph, a root variable, the
+iteration count l and the BFS labels of the root's neighborhood to depth
+2l+1, computed once by `window`.  `windows` yields the oracle's Monte
+Carlo stream of them, sample i drawn on ``(seed, STREAM_ORACLE_GRAPH, i)``
+for the graph and ``(seed, STREAM_ORACLE_NODE, i)`` for the root.
+
+The depth-2l neighborhood of the root induces a local GF(2)
 system: one binary variable per distinct variable node within distance
 2l of the root, one parity row per check node within distance 2l-1 over
 that check's full neighbor set.  Repeated occurrences of a variable in
@@ -22,6 +28,8 @@ later; the claims are released on backtrack.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -55,23 +63,69 @@ class Gf2System:
         return len(self.variables)
 
 
-def local_system(g: TannerGraph, v: int, iterations: int) -> Gf2System:
-    """GF(2) system induced by the depth-2l neighborhood of v.
+@dataclass(frozen=True, eq=False)
+class Window:
+    """The depth-2l neighborhood of ``root`` in ``graph``, l = ``iterations``.
+
+    ``var_dist`` and ``chk_dist`` are the BFS labels to depth 2l+1, -1
+    beyond: the valid-tree search reads that last check level, the local
+    system and the tree test only the nodes within 2l.
+    """
+
+    graph: TannerGraph
+    root: int
+    iterations: int
+    var_dist: np.ndarray
+    chk_dist: np.ndarray
+
+    @property
+    def checks(self) -> np.ndarray:
+        """The window's checks, ascending: those within distance 2l-1."""
+        return np.flatnonzero((self.chk_dist >= 0) & (self.chk_dist < 2 * self.iterations))
+
+    @property
+    def tree(self) -> bool:
+        """Whether the window is a tree.  Each of its checks keeps all its
+        edges inside it, and every edge has a check end, so its edge count
+        is the checks' degree sum; a connected graph is a tree iff that is
+        its node count minus 1."""
+        checks = self.checks
+        nodes = np.count_nonzero(self.var_dist >= 0) + checks.size
+        return int(self.graph.check_degrees.take(checks).sum()) == nodes - 1
+
+
+def window(g: TannerGraph, v: int, iterations: int) -> Window:
+    """The window of root v for l = ``iterations``, from one BFS."""
+    iterations = at_least(iterations, "iterations")
+    var_dist, chk_dist = bfs_distances(g, v, max_depth=2 * iterations + 1)
+    return Window(g, operator.index(v), iterations, var_dist, chk_dist)
+
+
+def windows(spec: EnsembleSpec, iterations: int, n: int, seed: int) -> Iterator[Window]:
+    """The oracle's window stream: n windows, each on a fresh graph and a
+    uniform root (see the module docstring)."""
+    iterations = at_least(iterations, "iterations")
+    n = at_least(n, "n")
+    return (window(sample_graph(spec, derived_rng(seed, STREAM_ORACLE_GRAPH, i)),
+                   derived_rng(seed, STREAM_ORACLE_NODE, i).integers(spec.n_vars), iterations)
+            for i in range(n))
+
+
+def local_system(w: Window) -> Gf2System:
+    """GF(2) system induced by the depth-2l neighborhood of the root.
 
     Variables are the distinct variable nodes within distance 2l; rows
     come from checks within distance 2l-1, each over its full neighbor
-    set (bipartite parity keeps those neighbors inside the window).  A
-    BFS cut at depth 2l labels exactly these nodes: checks sit at odd
-    depths, so every labelled check is within 2l-1.
+    set (bipartite parity keeps those neighbors inside the window).
+    Variables sit at even depths, so every labelled variable is within 2l.
     """
-    iterations = at_least(iterations, "iterations")
-    var_dist, chk_dist = bfs_distances(g, v, max_depth=2 * iterations)
-    variables = np.concatenate(([v], np.flatnonzero(var_dist > 0)))  # root first
+    g = w.graph
+    variables = np.concatenate(([w.root], np.flatnonzero(w.var_dist > 0)))  # root first
     # Local index per graph variable; the sentinel slot of ``chk_adj``
     # maps past every local index, so it sorts last in each row.
     local = np.full(g.n_vars + 1, g.n_vars, dtype=np.int64)
     local[variables] = np.arange(variables.size)
-    checks = np.flatnonzero(chk_dist >= 0)
+    checks = w.checks
     table = np.sort(local.take(g.chk_adj.take(checks, axis=0)), axis=1).tolist()
     rows = tuple(tuple(row[:d]) for row, d in zip(table, g.check_degrees.take(checks).tolist()))
     return Gf2System(variables=tuple(variables.tolist()), rows=rows,
@@ -175,8 +229,8 @@ class ValidTree:
         return len(self.levels) - 1
 
 
-def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | None:
-    """Backtracking search for a weight-carrying subtree rooted at v.
+def valid_tree_search(w: Window) -> ValidTree | None:
+    """Backtracking search for a weight-carrying subtree rooted at the root.
 
     Level by level: each chosen variable pulls in all its checks one
     level down, and checks below the leaf level each pick exactly one
@@ -189,9 +243,9 @@ def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | No
     the first subtree of full height in that order, or None when none
     exists.
     """
-    iterations = at_least(iterations, "iterations")
-    height = 2 * iterations + 1
-    var_dist, chk_dist = (d.tolist() for d in bfs_distances(g, v, max_depth=height))
+    g = w.graph
+    height = 2 * w.iterations + 1
+    var_dist, chk_dist = w.var_dist.tolist(), w.chk_dist.tolist()
 
     # A node's lists depend only on the node and the labels, so each is
     # built once per search, however often backtracking re-enters its level.
@@ -237,7 +291,7 @@ def valid_tree_search(g: TannerGraph, v: int, iterations: int) -> ValidTree | No
 
         return choose(0)
 
-    result = grow([(int(v),)], below(int(v)))
+    result = grow([(w.root,)], below(w.root))
     return None if result is None else ValidTree(levels=tuple(result))
 
 
@@ -263,25 +317,21 @@ class MinWeightEstimate:
 
 def expected_min_weight_mc(spec: EnsembleSpec, iterations: int, n_samples: int,
                            seed: int) -> MinWeightEstimate:
-    """Two-stage Monte Carlo: fresh graph per sample, then a uniform root."""
-    iterations = at_least(iterations, "iterations")
+    """Two-stage Monte Carlo over `windows`: fresh graph per sample, then a uniform root."""
     n_samples = at_least(n_samples, "n_samples", 1)
     weights = []
     infeasible = 0
     skipped = 0
-    for i in range(n_samples):
-        g = sample_graph(spec, derived_rng(seed, STREAM_ORACLE_GRAPH, i))
-        v = int(derived_rng(seed, STREAM_ORACLE_NODE, i).integers(spec.n_vars))
-        system = local_system(g, v, iterations)
+    for w in windows(spec, iterations, n_samples, seed):
         try:
-            w = min_weight_root_one(system)
+            weight = min_weight_root_one(local_system(w))
         except CapacityError:
             skipped += 1
             continue
-        if w is None:
+        if weight is None:
             infeasible += 1
         else:
-            weights.append(w)
+            weights.append(weight)
     arr = np.asarray(weights, dtype=np.float64)
     mean = float(arr.mean()) if arr.size else float("nan")
     std_error = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0

@@ -96,6 +96,7 @@ class WeightBound:
 
 def tree_regime_limit(j: int, k: int, n_vars: int, theta1: float) -> float:
     """Iteration ceiling of the tree regime: theta1 * log N^2 in base (j-1)^5 (k-1)^3."""
+    n_vars = at_least(n_vars, "n_vars", 2)
     return theta1 * 2.0 * log(n_vars) / (5.0 * log(j - 1) + 3.0 * log(k - 1))
 
 
@@ -251,6 +252,7 @@ def valid_tree_prob_lower(j: int, k: int, n_vars: int, iterations: int) -> float
     threshold and the regular check count N*j/k is an integer; violations
     raise RegimeError.  The value is floored at 0.
     """
+    n_vars = at_least(n_vars, "n_vars", 2)
     iterations = at_least(iterations, "iterations")
     if iterations > block_regime_limit(j, k, n_vars):
         raise RegimeError(

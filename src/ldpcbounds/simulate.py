@@ -140,6 +140,7 @@ def estimate_ber_curve(code, channel: ChannelModel, iterations, n_trials: int,
     """
     n_trials = at_least(n_trials, "n_trials", 1)
     trials_per_block = at_least(trials_per_block, "trials_per_block", 1)
+    threads = at_least(threads, "threads", 1)
     iterations = [at_least(l, "iterations") for l in iterations]
     if not iterations:
         raise ValueError("iterations must not be empty")

@@ -31,7 +31,7 @@ cached, since most graphs, such as the oracle's thousands of small
 samples, never reach a float decoder.
 
 `_bfs_levels` serves the queries on a finished graph (`bfs_distances`,
-`distance`, `neighborhood` and `girth`).  Its levels alternate between the
+`distance` and `girth`).  Its levels alternate between the
 two tables, and one level is a gather, a seen-filter and a sort-free
 scatter-and-mark dedupe, all sized by the level, not by the graph.  These
 queries label few nodes of a large graph; a pair distance stops where its
@@ -60,7 +60,6 @@ queries label few nodes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import inf
 
@@ -328,62 +327,6 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
         if labels[1 - side][depth[side] % 2].take(ring).max() >= 0:
             return depth[0] + depth[1]
     return inf
-
-
-# -- neighborhood views --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """Depth-limited BFS neighborhood of a variable node.
-
-    ``levels[d]`` holds the sorted node ids at graph distance exactly d:
-    variable ids on even levels, check ids on odd levels.  ``edges`` is
-    the (var, check) list induced by the included node set.
-    """
-
-    root: int
-    depth: int
-    levels: tuple[np.ndarray, ...]
-    edges: np.ndarray
-    tree_like: bool
-
-    @property
-    def n_variables(self) -> int:
-        return sum(lvl.size for lvl in self.levels[0::2])
-
-    @property
-    def n_check_nodes(self) -> int:
-        return sum(lvl.size for lvl in self.levels[1::2])
-
-    def variables(self) -> np.ndarray:
-        return np.concatenate(list(self.levels[0::2]))
-
-    def check_nodes(self) -> np.ndarray:
-        return np.concatenate(list(self.levels[1::2]) or [np.empty(0, np.int64)])
-
-
-def neighborhood(g: TannerGraph, v: int, k: int) -> NeighborhoodView:
-    """Nodes within distance k of v, organized by BFS level.
-
-    Nodes at distance exactly k are included.  The view is tree-like iff
-    the induced edge count equals the induced node count minus one.
-    """
-    v = _var_index(g, v)
-    k = at_least(k, "depth")
-    var_dist, chk_dist = bfs_distances(g, v, max_depth=k)
-    levels = []
-    for d in range(k + 1):
-        if d % 2 == 0:
-            levels.append(np.flatnonzero(var_dist == d).astype(np.int64))
-        else:
-            levels.append(np.flatnonzero(chk_dist == d).astype(np.int64))
-    keep = (var_dist[g.edge_var] >= 0) & (chk_dist[g.edge_chk] >= 0)
-    edges = np.column_stack([g.edge_var[keep], g.edge_chk[keep]])
-    n_nodes = sum(lvl.size for lvl in levels)
-    tree_like = edges.shape[0] == n_nodes - 1
-    return NeighborhoodView(root=v, depth=k, levels=tuple(levels), edges=edges,
-                            tree_like=tree_like)
 
 
 # -- configuration-model sampling ----------------------------------------

@@ -14,9 +14,9 @@ import pytest
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
                         RegularParams, ber_lower_from_weight, chernoff_q_lower,
                         de_bec, expected_min_weight_mc, gamma_transform,
-                        local_system, min_weight_root_one, neighborhood,
-                        q_function, sample_graph, valid_tree_prob_lower,
-                        valid_tree_search, weight_recursion, weight_upper_bound)
+                        local_system, min_weight_root_one, q_function,
+                        sample_graph, valid_tree_prob_lower, valid_tree_search,
+                        weight_recursion, weight_upper_bound, window)
 from ldpcbounds.experiments import ExperimentConfig, run
 
 R3 = DegreeDistribution.regular(3)
@@ -196,8 +196,9 @@ def test_criterion_6_oracle_formula_equivalence():
     while tree_like_checked < 100 and seed < 40:
         g = sample_graph(spec300, seed)
         for v in range(0, 300, 11):
-            if neighborhood(g, v, 2).tree_like:
-                w = min_weight_root_one(local_system(g, v, 1))
+            win = window(g, v, 1)
+            if win.tree:
+                w = min_weight_root_one(local_system(win))
                 if w != 4:
                     violations.append(f"tree-like view gave weight {w}")
                 tree_like_checked += 1
@@ -210,11 +211,12 @@ def test_criterion_6_oracle_formula_equivalence():
     for s in range(15):
         g = sample_graph(spec_small, s)
         for v in range(0, 28, 2):
-            tree = valid_tree_search(g, v, 1)
+            win = window(g, v, 1)
+            tree = valid_tree_search(win)
             if tree is None:
                 continue
             trees_found += 1
-            w = min_weight_root_one(local_system(g, v, 1))
+            w = min_weight_root_one(local_system(win))
             if w is None or w > tree.weight:
                 violations.append(
                     f"oracle {w} above valid-tree weight {tree.weight}")

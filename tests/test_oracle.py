@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcbounds import (CapacityError, DegreeDistribution, EnsembleSpec,
-                        TannerGraph, expected_min_weight_mc, local_system,
-                        min_weight_root_one, neighborhood, sample_graph,
+                        TannerGraph, distance, expected_min_weight_mc,
+                        local_system, min_weight_root_one, sample_graph,
                         valid_tree_counts, valid_tree_prob_lower,
-                        valid_tree_search)
+                        valid_tree_search, window, windows)
 from ldpcbounds._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, derived_rng
 from ldpcbounds.oracle import Gf2System, ValidTree, _solve_affine
 from ldpcbounds.tanner import bfs_distances
@@ -162,10 +162,11 @@ def small_graphs(draw):
 
 
 def assert_matches_reference(g, v, iterations):
-    system = local_system(g, v, iterations)
+    w = window(g, v, iterations)
+    system = local_system(w)
     assert system == reference_local_system(g, v, iterations)
     assert _solve_affine(system) == reference_solve_affine(system)
-    assert valid_tree_search(g, v, iterations) == reference_valid_tree_search(g, v, iterations)
+    assert valid_tree_search(w) == reference_valid_tree_search(g, v, iterations)
 
 
 class TestMatchesReference:
@@ -198,42 +199,48 @@ class TestLocalSystem:
     def test_window_is_the_neighborhood(self, g, data):
         v = data.draw(st.integers(0, g.n_vars - 1))
         iterations = data.draw(st.integers(0, 3))
-        system = local_system(g, v, iterations)
-        view = neighborhood(g, v, 2 * iterations)
+        system = local_system(window(g, v, iterations))
+        # Per-pair distances from the bidirectional search: a variable is in
+        # the window within 2l, a check within 2l-1, i.e. next to a variable
+        # within 2l-2.
+        dist = [distance(g, v, u) for u in range(g.n_vars)]
         assert system.variables[0] == v
-        assert sorted(system.variables) == sorted(view.variables().tolist())
-        assert list(system.checks) == sorted(view.check_nodes().tolist())
+        assert sorted(system.variables) == [u for u, d in enumerate(dist) if d <= 2 * iterations]
+        assert list(system.checks) == [
+            c for c in range(g.n_checks)
+            if any(dist[u] <= 2 * iterations - 2 for u in g.check_neighbors(c).tolist())]
 
     def test_depth_zero(self, tree_graph):
-        sys0 = local_system(tree_graph, 0, 0)
+        sys0 = local_system(window(tree_graph, 0, 0))
         assert sys0.n_variables == 1
         assert sys0.rows == ()
 
     def test_tree_fixture(self, tree_graph):
-        sys1 = local_system(tree_graph, 0, 1)
+        sys1 = local_system(window(tree_graph, 0, 1))
         assert sys1.n_variables == 10
         assert len(sys1.rows) == 3
         assert sys1.variables[0] == 0
 
     def test_toy_code_window(self, toy4_graph):
-        sys2 = local_system(toy4_graph, 0, 2)
+        sys2 = local_system(window(toy4_graph, 0, 2))
         assert sys2.n_variables == 4
         assert len(sys2.rows) == 3  # all checks sit within distance 3
 
     def test_rows_cover_full_check_neighborhoods(self, spec34_900):
         g = sample_graph(spec34_900, 50)
-        system = local_system(g, 3, 1)
+        system = local_system(window(g, 3, 1))
         for row, c in zip(system.rows, system.checks):
             assert len(row) == g.check_degrees[c]
 
     @pytest.mark.parametrize("query", [
-        lambda spec, l: local_system(sample_graph(spec, 0), 0, l),
-        lambda spec, l: valid_tree_search(sample_graph(spec, 0), 0, l),
+        lambda spec, l: local_system(window(sample_graph(spec, 0), 0, l)),
+        lambda spec, l: valid_tree_search(window(sample_graph(spec, 0), 0, l)),
         lambda spec, l: expected_min_weight_mc(spec, l, 3, 0).weights.tolist(),
-    ], ids=["local_system", "valid_tree_search", "expected_min_weight_mc"])
+        lambda spec, l: [w.var_dist.tolist() for w in windows(spec, l, 3, 0)],
+    ], ids=["local_system", "valid_tree_search", "expected_min_weight_mc", "windows"])
     def test_rejects_non_integer_iterations(self, spec34_900, query):
-        # A float l must not reach the BFS: l = 1.5 would cut the window at
-        # depth 3, whose rows name variables outside the system.
+        # A float l must not reach the BFS: l = 1.5 would label the window
+        # to depth 4, a variable level, where every window ends on checks.
         for iterations in (1.5, 1.0, np.float64(1.0)):
             with pytest.raises(TypeError):
                 query(spec34_900, iterations)
@@ -242,14 +249,14 @@ class TestLocalSystem:
 
 class TestMinWeightRootOne:
     def test_isolated_root(self, tree_graph):
-        assert min_weight_root_one(local_system(tree_graph, 0, 0)) == 1
+        assert min_weight_root_one(local_system(window(tree_graph, 0, 0))) == 1
 
     def test_forced_pair(self):
         g = TannerGraph(2, 1, [(0, 0), (1, 0)])
-        assert min_weight_root_one(local_system(g, 0, 1)) == 2
+        assert min_weight_root_one(local_system(window(g, 0, 1))) == 2
 
     def test_tree_like_window_weight(self, tree_graph):
-        assert min_weight_root_one(local_system(tree_graph, 0, 1)) == 4
+        assert min_weight_root_one(local_system(window(tree_graph, 0, 1))) == 4
 
     def test_matches_brute_force_on_random_small_graphs(self):
         spec = EnsembleSpec(16, DegreeDistribution.regular(3),
@@ -257,31 +264,31 @@ class TestMinWeightRootOne:
         for seed in range(6):
             g = sample_graph(spec, seed)
             for v in (0, 5, 11):
-                system = local_system(g, v, 1)
+                system = local_system(window(g, v, 1))
                 assert min_weight_root_one(system) == brute_force_min_weight(system)
 
     def test_infeasible_root(self):
         # Root's only check has degree 1: parity forces the root to 0.
         g = TannerGraph(1, 1, [(0, 0)])
-        assert min_weight_root_one(local_system(g, 0, 1)) is None
+        assert min_weight_root_one(local_system(window(g, 0, 1))) is None
 
     def test_capacity_guard(self, spec34_900):
         # An l=3 window of a (3,4) N=900 graph has free dimension 190 or more.
         g = sample_graph(spec34_900, 51)
         with pytest.raises(CapacityError):
-            min_weight_root_one(local_system(g, 0, 3))
+            min_weight_root_one(local_system(window(g, 0, 3)))
 
 
 class TestValidTreeSearch:
     def test_tree_like_regular_window(self, tree_graph):
-        tree = valid_tree_search(tree_graph, 0, 1)
+        tree = valid_tree_search(window(tree_graph, 0, 1))
         assert tree is not None
         expect, _ = valid_tree_counts(3, 2)
         assert tree.weight == expect == 4
 
     def test_degree_one_check_blocks_search(self):
         g = TannerGraph(2, 2, [(0, 0), (1, 0), (0, 1)])
-        assert valid_tree_search(g, 0, 1) is None
+        assert valid_tree_search(window(g, 0, 1)) is None
 
     def test_found_tree_bounds_the_oracle(self):
         spec = EnsembleSpec(28, DegreeDistribution.regular(3),
@@ -290,11 +297,12 @@ class TestValidTreeSearch:
         for seed in range(12):
             g = sample_graph(spec, seed)
             for v in range(0, 28, 3):
-                tree = valid_tree_search(g, v, 1)
+                win = window(g, v, 1)
+                tree = valid_tree_search(win)
                 if tree is None:
                     continue
                 found += 1
-                w = min_weight_root_one(local_system(g, v, 1))
+                w = min_weight_root_one(local_system(win))
                 assert w is not None and w <= tree.weight
         assert found >= 20
 
@@ -302,7 +310,7 @@ class TestValidTreeSearch:
         g = sample_graph(spec34_900, 52)
         hits = 0
         for v in range(40):
-            tree = valid_tree_search(g, v, 2)
+            tree = valid_tree_search(window(g, v, 2))
             if tree is not None:
                 hits += 1
                 assert tree.weight == valid_tree_counts(3, 4)[0] == 10
@@ -331,14 +339,21 @@ class TestExpectedMinWeightMc:
     def test_sample_i_uses_streams_at_index_i(self, var_dist, check_dist, n_vars, iterations):
         # Sample i is the graph of (seed, STREAM_ORACLE_GRAPH, i) with the
         # root of (seed, STREAM_ORACLE_NODE, i), whatever the sampler does
-        # inside; infeasible and capacity-skipped samples leave no weight.
+        # inside, and its window labels that graph from that root to depth
+        # 2l+1; infeasible and capacity-skipped samples leave no weight.
         spec = EnsembleSpec(n_vars, DegreeDistribution("node", var_dist),
                             DegreeDistribution("node", check_dist))
         seed, n_samples = 8, 40
+        stream = list(windows(spec, iterations, n_samples, seed))
+        assert len(stream) == n_samples
         weights, infeasible, skipped = [], 0, 0
-        for i in range(n_samples):
+        for i, win in enumerate(stream):
             g = sample_graph(spec, derived_rng(seed, STREAM_ORACLE_GRAPH, i))
             v = int(derived_rng(seed, STREAM_ORACLE_NODE, i).integers(spec.n_vars))
+            assert (win.root, win.iterations) == (v, iterations)
+            assert win.graph.edges().tolist() == g.edges().tolist()
+            labels = bfs_distances(g, v, max_depth=2 * iterations + 1)
+            assert [d.tolist() for d in (win.var_dist, win.chk_dist)] == [d.tolist() for d in labels]
             try:
                 w = min_weight_root_one(reference_local_system(g, v, iterations))
             except CapacityError:
@@ -371,7 +386,8 @@ class TestTreeLikeNeighborhoodEquivalence:
         for seed in range(8):
             g = sample_graph(spec, seed)
             for v in range(0, 300, 17):
-                if neighborhood(g, v, 2).tree_like:
-                    assert min_weight_root_one(local_system(g, v, 1)) == 4
+                w = window(g, v, 1)
+                if w.tree:
+                    assert min_weight_root_one(local_system(w)) == 4
                     checked += 1
         assert checked >= 50

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
                         RegimeError, RegularParams, ber_lower_from_weight,
                         block_regime_limit, chernoff_q_lower, closed_form_lower,
-                        distance, empirical_tail, estimate_ber, expected_min_weight_mc,
-                        gamma_transform, lentmaier_fit_a0, lentmaier_upper,
-                        lentmaier_validity_limit, neg_log2_ber_lower,
-                        neighborhood_max_counts, q_function, sample_graph,
-                        transmit, tree_regime_limit, valid_tree_counts,
-                        valid_tree_prob_lower, weight_upper_bound)
+                        distance, empirical_tail, estimate_ber, estimate_ber_curve,
+                        expected_min_weight_mc, gamma_transform, l1_threshold,
+                        lentmaier_fit_a0, lentmaier_upper, lentmaier_validity_limit,
+                        neg_log2_ber_lower, neighborhood_max_counts, q_function,
+                        sample_graph, tail_distribution, transmit, tree_regime_limit,
+                        valid_tree_counts, valid_tree_prob_lower, weight_upper_bound)
 from ldpcbounds.regular_bounds import REGIME_BLOCK, REGIME_NEIGHBORHOOD, REGIME_TREE
 from ldpcbounds.tanner import bfs_distances
 
@@ -215,6 +215,30 @@ class TestLentmaier:
             math.log(5400) / math.log(6), rel=1e-12)
 
 
+class TestHeadlineSlope:
+    """The paper's headline claim: in the tree regime the lower bound has
+    the dominant order of Lentmaier's upper bound, so on the double-log
+    scale gamma_lower(l+1) - gamma_lower(l) -> log2(j-1), the slope of
+    gamma_upper."""
+
+    @pytest.mark.parametrize("j, k", [(3, 4), (3, 6), (4, 8), (5, 10)])
+    @pytest.mark.parametrize("channel", [Bec(0.3), Bec(0.6), Bsc(0.01), Bsc(0.1), Biawgn(0.5),
+                                         Biawgn(1.5), Biawgn(4.0)], ids=repr)
+    def test_slope_approaches_upper_bound_slope(self, j, k, channel):
+        # The least power of ten whose tree regime reaches l = 9, so every
+        # point is a valid-tree weight, never the neighbourhood ceiling or N.
+        n = next(10 ** e for e in range(3, 100) if tree_regime_limit(j, k, 10 ** e, 0.99) >= 9)
+        points = [closed_form_lower(channel, RegularParams(j, k, n, l)) for l in range(10)]
+        assert [p.regime for p in points] == [REGIME_TREE] * 10
+        slope = (gamma_transform(lentmaier_upper(j, 2, 0.1))
+                 - gamma_transform(lentmaier_upper(j, 1, 0.1)))
+        assert slope == pytest.approx(math.log2(j - 1), rel=1e-12)
+        # gaps[l] compares gamma_lower(l+1) - gamma_lower(l) with that slope.
+        gaps = [abs(b.gamma_lower - a.gamma_lower - slope) for a, b in zip(points, points[1:])]
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(gaps[4:8], gaps[5:]))
+        assert gaps[8] < 0.025
+
+
 class TestValidTreeProbLower:
     def test_value_900(self):
         # (1 - 12/675)^9 (1 - 20/900)^10, evaluated independently.
@@ -304,6 +328,30 @@ class TestOneIntegerRule:
     def test_rejects(self, tree_graph, call, error):
         with pytest.raises(error):
             call(tree_graph)
+
+    @pytest.mark.parametrize("call", [
+        lambda n: valid_tree_prob_lower(3, 4, n, 1),
+        lambda n: tail_distribution(SPEC_40.var_dist, SPEC_40.check_dist, n, 4).survival.tolist(),
+        lambda n: l1_threshold(SPEC_40.var_dist, SPEC_40.check_dist, n, 0.99),
+        lambda n: tree_regime_limit(3, 4, n, 0.99),
+    ], ids=["valid_tree_prob_lower", "tail_distribution", "l1_threshold",
+            "tree_regime_limit"])
+    def test_block_length_is_an_integer(self, call):
+        # Each of these used to run on a float N: 900.0 gave N=900's value
+        # and 900.5 a value between those of N=900 and N=901.
+        for n in (900.0, 900.5):
+            with pytest.raises(TypeError, match="n_vars"):
+                call(n)
+        with pytest.raises(ValueError, match="n_vars"):
+            call(1)
+        assert call(np.int64(900)) == call(900)
+
+    @pytest.mark.parametrize("threads, error", [(2.5, TypeError), (0, ValueError),
+                                                (-3, ValueError)])
+    def test_threads_is_a_count(self, tree_graph, threads, error):
+        # These all ran serially and returned the threads=1 result.
+        with pytest.raises(error, match="threads"):
+            estimate_ber_curve(tree_graph, Bec(0.3), [1], 5, 7, threads=threads)
 
     @pytest.mark.parametrize("cast", [int, np.int64, np.int32, np.uint8],
                              ids=["int", "int64", "int32", "uint8"])

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
                         InvalidSpecError, SamplingFailureError, TannerGraph,
-                        distance, girth, neighborhood, peg_construct,
-                        sample_graph, sample_graph_with_attempts)
+                        distance, girth, peg_construct, sample_graph,
+                        sample_graph_with_attempts, window)
 from ldpcbounds.degrees import realize_degree_sequences
 from ldpcbounds.tanner import bfs_distances
 
@@ -439,8 +439,8 @@ class TestDistances:
         lambda g, u: [d.tolist() for d in bfs_distances(g, u, 2)],
         lambda g, u: distance(g, u, 3),
         lambda g, u: distance(g, 3, u),
-        lambda g, u: [lvl.tolist() for lvl in neighborhood(g, u, 2).levels],
-    ], ids=["bfs_distances", "distance-first", "distance-second", "neighborhood"])
+        lambda g, u: window(g, u, 1).var_dist.tolist(),
+    ], ids=["bfs_distances", "distance-first", "distance-second", "window"])
     def test_rejects_non_integer_variable(self, tree_graph, query):
         for u in (2.5, 0.5, np.float64(2.0)):
             with pytest.raises(TypeError):
@@ -450,8 +450,8 @@ class TestDistances:
     @pytest.mark.parametrize("query", [
         lambda g, d: [dist.tolist() for dist in bfs_distances(g, 0, d)],
         lambda g, d: distance(g, 0, 3, d),
-        lambda g, d: [lvl.tolist() for lvl in neighborhood(g, 0, d).levels],
-    ], ids=["bfs_distances", "distance", "neighborhood"])
+        lambda g, d: window(g, 0, d).var_dist.tolist(),
+    ], ids=["bfs_distances", "distance", "window"])
     def test_rejects_non_integer_depth(self, spec34_900, query):
         # Depths count whole levels: a depth of 1.5 would search to depth 2.
         g = sample_graph(spec34_900, 0)
@@ -494,59 +494,67 @@ class TestDistances:
 
 
 class TestNeighborhood:
+    """The depth-2l neighbourhood of a root, as ``oracle.window`` labels it."""
+
     def test_depth_zero(self, tree_graph):
-        view = neighborhood(tree_graph, 0, 0)
-        assert view.n_variables == 1 and view.n_check_nodes == 0
-        assert view.tree_like
+        w = window(tree_graph, 0, 0)
+        assert np.count_nonzero(w.var_dist >= 0) == 1 and w.checks.size == 0
+        assert w.tree
 
     def test_tree_like_two_levels(self, tree_graph):
-        view = neighborhood(tree_graph, 0, 2)
-        assert [lvl.size for lvl in view.levels] == [1, 3, 9]
-        assert view.n_variables == 10
-        assert view.tree_like
+        w = window(tree_graph, 0, 1)
+        assert [np.count_nonzero(w.var_dist == 0), w.checks.size,
+                np.count_nonzero(w.var_dist == 2)] == [1, 3, 9]
+        assert w.tree
 
     def test_toy_code_depth_four_covers_every_variable(self, toy4_graph):
         assert sorted(toy4_graph.var_neighbors(0)) == [0, 2]
-        view = neighborhood(toy4_graph, 0, 4)
-        assert sorted(view.variables().tolist()) == [0, 1, 2, 3]
+        w = window(toy4_graph, 0, 2)
+        assert np.flatnonzero(w.var_dist >= 0).tolist() == [0, 1, 2, 3]
 
     def test_levels_partition_by_distance(self, spec34_900):
         g = sample_graph(spec34_900, 21)
-        view = neighborhood(g, 5, 4)
-        for d, lvl in enumerate(view.levels):
-            for u in lvl:
-                if d % 2 == 0:
-                    assert distance(g, 5, int(u)) == d
+        w = window(g, 5, 2)
+        for u in np.flatnonzero(w.var_dist >= 0).tolist():
+            assert distance(g, 5, u) == w.var_dist[u]
 
     def test_node_set_matches_per_pair_distances(self):
         spec = EnsembleSpec(48, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
         for seed in range(3):
             g = sample_graph(spec, seed)
             for v in range(0, 48, 7):
-                for k in (0, 2, 4):
-                    view = neighborhood(g, v, k)
-                    got = set(view.variables().tolist())
+                for l in (0, 1, 2):
+                    got = set(np.flatnonzero(window(g, v, l).var_dist >= 0).tolist())
                     want = {u for u in range(48)
-                            if reference_distance(g, v, u) <= k}
+                            if reference_distance(g, v, u) <= 2 * l}
                     assert got == want
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(small_graphs(), st.data())
     def test_induced_edges_match_per_check_scan(self, g, data):
+        # The tree test counts no edges; here they are counted one by one:
+        # the edges with both ends within distance 2l, per check.
         v = data.draw(st.integers(0, g.n_vars - 1))
-        k = data.draw(st.integers(0, 6))
-        var_dist, chk_dist = reference_bfs(g, v, max_depth=k)
-        want = [(int(u), c) for c in range(g.n_checks) if chk_dist[c] >= 0
-                for u in g.check_neighbors(c) if var_dist[u] >= 0]
-        view = neighborhood(g, v, k)
-        assert view.edges.dtype == np.int64
-        assert view.edges.tolist() == [list(e) for e in want]
+        for l in range(4):
+            var_dist, chk_dist = reference_bfs(g, v, max_depth=2 * l)
+            checks = [c for c in range(g.n_checks) if chk_dist[c] >= 0]
+            edges = [(int(u), c) for c in checks
+                     for u in g.check_neighbors(c) if var_dist[u] >= 0]
+            nodes = sum(d >= 0 for d in var_dist) + len(checks)
+            w = window(g, v, l)
+            assert w.checks.tolist() == checks
+            assert w.tree == (len(edges) == nodes - 1)
 
     def test_cycle_detection(self):
         # 4-cycle: two checks sharing two variables.
         g = TannerGraph(2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-        view = neighborhood(g, 0, 2)
-        assert not view.tree_like
+        assert not window(g, 0, 1).tree
+        assert window(g, 0, 0).tree
+
+    def test_rejects_root_out_of_range(self, tree_graph):
+        for root in (-1, tree_graph.n_vars):
+            with pytest.raises(IndexError, match="out of range"):
+                window(tree_graph, root, 1)
 
 
 class TestGirth:
