@@ -20,10 +20,9 @@ from .simulate import BerEstimate, estimate_ber, estimate_ber_curve
 from .density_evolution import DeTrace, de_bec, ga_awgn, phi_approx, phi_inverse, \
     q_function
 from .regular_bounds import (BoundPoint, RegularParams, WeightBound,
-                             ber_lower_from_weight, block_regime_limit,
-                             chernoff_q_lower, closed_form_lower,
-                             gamma_transform, lentmaier_fit_a0, lentmaier_upper,
-                             lentmaier_validity_limit, neg_log2_ber_lower,
+                             block_regime_limit, chernoff_q_lower,
+                             closed_form_lower, gamma_transform, lentmaier_fit_a0,
+                             lentmaier_upper, lentmaier_validity_limit,
                              neighborhood_max_counts, tree_regime_limit,
                              valid_tree_counts, valid_tree_prob_lower,
                              weight_upper_bound)

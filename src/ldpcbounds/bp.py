@@ -34,8 +34,8 @@ On the erasure channel every message is either erased or certainly
 right, so the same flooding schedule reduces to erasure counting
 (Luby et al., IEEE Trans. IT 47(2), 2001): ``bec_unresolved`` runs it on
 a block of trials at once with small integer counts instead of floats.
-The BEC's infinite LLRs go only there, as the erasure pattern
-``llr == 0``.
+The BEC's LLR law (``channels.Bec.llrs``) gives 0 or +/-inf, and those
+LLRs go only there, as the erasure pattern ``llr == 0``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
 from .degrees import (EDGE, NODE, DegreeDistribution, EnsembleSpec, node_perspective,
                       realize_degree_sequences)
-from .density_evolution import de_bec, ga_awgn
 from .errors import CapacityError, ConfigError, LdpcBoundsError
 from .irregular import (BRANCH_BELOW, RecursionTrace, empirical_tail,
                         irregular_lower_bound, tail_distribution, weight_recursion)
@@ -296,7 +295,7 @@ def validate(config: ExperimentConfig) -> ValidationReport:
             report.errors.append(f"channel: {exc}")
     spec = report.spec
     if kind in ("de", "figure5") and report.channel is not None \
-            and not isinstance(report.channel, (Bec, Biawgn)):
+            and report.channel.de is None:
         report.errors.append("density evolution curves cover BEC and BI-AWGN only")
     if kind == "figure5" and spec is not None and spec.var_dist.max_degree < 3:
         report.errors.append("gamma-curve bounds require variable max degree >= 3")
@@ -359,12 +358,8 @@ def _lower_bounds(config: ExperimentConfig, spec: EnsembleSpec,
 
 def _de_trace(config: ExperimentConfig, report: ValidationReport):
     spec, channel = report.spec, report.channel
-    l_max = max(config.iterations)
-    if isinstance(channel, Bec):
-        report.notes["de_label"] = "DE (exact, BEC)"
-        return de_bec(spec.var_dist, spec.check_dist, channel.epsilon, l_max)
-    report.notes["de_label"] = "DE (Gaussian approx., AWGN)"
-    return ga_awgn(spec.var_dist, spec.check_dist, channel.sigma2, l_max)
+    report.notes["de_label"] = channel.de_label
+    return channel.de(spec.var_dist, spec.check_dist, max(config.iterations))
 
 
 def _simulated_rows(config: ExperimentConfig, report: ValidationReport,

@@ -215,11 +215,19 @@ def maxdeg_relaxation(channel: ChannelModel, var_dist: DegreeDistribution,
                       iterations: int, theta1: float = 0.99) -> BoundPoint | None:
     """Regular-ensemble bound at the maximum degrees (Jmax, Kmax).
 
-    The regular ensemble at the maximum degrees lower-bounds the
-    irregular ensemble's BER.  Returns None when Jmax < 3, where the
-    closed form does not apply.  No ordering between this relaxation and
-    the recursion-based bound is asserted.  A library function only: no
-    experiment kind writes it.
+    The paper's first irregular method, adopting the approach used for
+    regular codes: the closed-form weight bound at (Jmax, Kmax), pushed
+    through the channel's BER bound.  That the value lower-bounds the
+    irregular ensemble's BER is unproven.  Part of the argument holds: a
+    depth-2l window whose degrees are at most (Jmax, Kmax) holds no more
+    variables than ``neighborhood_max_counts(Jmax, Kmax, 2l)``, which so
+    bounds the weight of any root-one local codeword it has, and the
+    channel bound decreases in the weight.  The tree regime's threshold
+    and weight rest on the regular ensemble's analysis, which is not
+    carried over, and N may be nudged to a smaller multiple of Kmax.
+    Returns None when Jmax < 3, where the closed form does not apply.
+    No ordering between this relaxation and the recursion-based bound
+    is asserted.  A library function only: no experiment kind writes it.
     """
     j_max = var_dist.max_degree
     k_max = check_dist.max_degree

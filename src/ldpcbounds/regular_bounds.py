@@ -4,8 +4,10 @@ The machinery ties together: counting formulas for the valid subtree a
 low-weight assignment lives on, ceilings on how many distinct nodes a
 depth-limited decoding neighborhood can contain, a piecewise upper bound
 on the expected minimum weight of the root-constrained local code, the
-per-channel BER lower bounds that weight implies, and the double-log
-transform used to plot the resulting double-exponential decay.
+curve point that pushes that weight through the channel's own BER bound
+(``ber_lower`` and ``neg_log2_ber_lower`` on each class in ``channels``),
+and the double-log transform used to plot the resulting
+double-exponential decay.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 from math import exp, log, log2, pi, sqrt
 
 from ._util import at_least
-from .channels import Bec, Biawgn, Bsc, ChannelModel
-from .density_evolution import q_function
+from .channels import Biawgn, ChannelModel
 from .errors import RegimeError
 
 REGIME_TREE = "tree"
@@ -102,6 +103,7 @@ def tree_regime_limit(j: int, k: int, n_vars: int, theta1: float) -> float:
 
 def block_regime_limit(j: int, k: int, n_vars: int) -> float:
     """Iteration threshold beyond which the weight bound saturates at N."""
+    n_vars = at_least(n_vars, "n_vars", 2)
     return log((1.0 - k / (j * (k - 1))) * n_vars) / log((j - 1) * (k - 1))
 
 
@@ -121,46 +123,6 @@ def weight_upper_bound(p: RegularParams) -> WeightBound:
         return WeightBound(float(p.n_vars), REGIME_BLOCK)
     return WeightBound(float(neighborhood_max_counts(p.j, p.k, 2 * l)[0]),
                        REGIME_NEIGHBORHOOD)
-
-
-def ber_lower_from_weight(channel: ChannelModel, weight: float) -> float:
-    """BER lower bound implied by an expected minimum weight.
-
-    Q(sqrt(w/sigma2)) on AWGN, q**((w+1)/2) on the BSC, eps**w on the BEC.
-    """
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    if isinstance(channel, Bec):
-        return float(channel.epsilon ** weight)
-    if isinstance(channel, Bsc):
-        return float(channel.q ** ((weight + 1.0) / 2.0))
-    if isinstance(channel, Biawgn):
-        return float(q_function(sqrt(weight / channel.sigma2)))
-    raise TypeError(f"unknown channel model {channel!r}")
-
-
-def neg_log2_ber_lower(channel: ChannelModel, weight: float) -> float | None:
-    """-log2 of the channel bound, evaluated in log space.
-
-    Stays finite where the probability itself underflows (large weights
-    push the BEC bound far below the double-precision floor).  Returns
-    None when the bound degenerates to 0 or 1.
-    """
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    if isinstance(channel, Bec):
-        if channel.epsilon <= 0.0 or channel.epsilon >= 1.0 or weight == 0:
-            return None
-        return weight * -log2(channel.epsilon)
-    if isinstance(channel, Bsc):
-        return (weight + 1.0) / 2.0 * -log2(channel.q)
-    if isinstance(channel, Biawgn):
-        if weight == 0:
-            return 1.0  # Q(0) = 1/2
-        from scipy.special import log_ndtr
-
-        return -log_ndtr(-sqrt(weight / channel.sigma2)) / log(2.0)
-    raise TypeError(f"unknown channel model {channel!r}")
 
 
 def chernoff_q_lower(x: float) -> float:
@@ -195,13 +157,19 @@ class BoundPoint:
 
 def bound_point_from_weight(channel: ChannelModel, weight: float, regime: str,
                             iterations: int) -> BoundPoint:
-    """Assemble a curve point: channel bound, relaxation, and gamma value."""
-    p = ber_lower_from_weight(channel, weight)
+    """Assemble a curve point: channel bound, relaxation, and gamma value.
+
+    The channel's own ``ber_lower`` and ``neg_log2_ber_lower`` give the
+    bound; a negative weight raises ValueError.
+    """
+    if weight < 0:
+        raise ValueError("weight must be >= 0")
+    p = channel.ber_lower(weight)
     relaxed = None
     if isinstance(channel, Biawgn):
         relaxed = chernoff_q_lower(sqrt(weight / channel.sigma2))
     # The log-space path keeps gamma finite when p itself underflows.
-    neg_log2 = neg_log2_ber_lower(channel, weight)
+    neg_log2 = channel.neg_log2_ber_lower(weight)
     gamma = log2(neg_log2) if neg_log2 is not None and neg_log2 > 0.0 else None
     return BoundPoint(iterations=iterations, weight=weight, regime=regime,
                       p_lower=p, gamma_lower=gamma, p_lower_relaxed=relaxed)
@@ -241,6 +209,7 @@ def lentmaier_fit_a0(j: int, anchor_iterations: int, anchor_p: float) -> float:
 
 def lentmaier_validity_limit(j: int, k: int, n_vars: int) -> float:
     """Iteration ceiling log N / log((j-1)(k-1)) of the upper-bound form."""
+    n_vars = at_least(n_vars, "n_vars", 2)
     return log(n_vars) / log((j - 1) * (k - 1))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
-                        RegularParams, ber_lower_from_weight, chernoff_q_lower,
+                        RegularParams, chernoff_q_lower,
                         de_bec, expected_min_weight_mc, gamma_transform,
                         local_system, min_weight_root_one, q_function,
                         sample_graph, valid_tree_prob_lower, valid_tree_search,
@@ -100,7 +100,7 @@ def test_criterion_2_channel_bound_endpoints():
     ]
     violations = []
     for channel, weight, want in cases:
-        got = ber_lower_from_weight(channel, weight)
+        got = channel.ber_lower(weight)
         if abs(got - want) > 1e-9:
             violations.append(f"{channel}: got {got}, want {want}")
     if abs(q_function(1.0) - 0.158655) > 1e-6:
@@ -116,8 +116,7 @@ def test_criterion_3_bound_curve_sandwich(figure5_outputs):
     violations = []
     for main, sim in zip(main_rows, sim_rows):
         l = int(main["l"])
-        lower = ber_lower_from_weight(
-            Bec(0.6), weight_upper_bound(RegularParams(3, 4, 5400, l)).value)
+        lower = Bec(0.6).ber_lower(weight_upper_bound(RegularParams(3, 4, 5400, l)).value)
         if lower > de_trace.ber[l] + 1e-15:
             violations.append(f"l={l}: lower {lower} above DE {de_trace.ber[l]}")
         ber = float(sim["ber"])

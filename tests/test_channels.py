@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -66,6 +67,17 @@ class TestTransmit:
     def test_deterministic_per_seed(self):
         s = np.zeros(32, dtype=np.int8)
         assert np.array_equal(transmit(s, Biawgn(1.0), 7), transmit(s, Biawgn(1.0), 7))
+
+    # Digests of the LLR bytes, taken before the LLR laws moved onto the
+    # channel classes: the same draws in the same order, bit for bit.
+    @pytest.mark.parametrize("channel, digest", [
+        (Bec(0.3), "ea3ac7b6a8c5fcd3d88c5c4df92f8a47ea58194057b583077e9fdd705a2cb474"),
+        (Bsc(0.1), "22593858168ac583fc403cbb2f3599e58ae88e15fc5313ee89eaa8ef0fe1caff"),
+        (Biawgn(0.7), "fb45ace411f975c98165ab1811160793fefc2955a9dcc352ee9a16566304434b"),
+    ], ids=["bec", "bsc", "biawgn"])
+    def test_llr_digest(self, channel, digest):
+        llr = transmit(np.zeros(1000, np.int8), channel, 7)
+        assert hashlib.sha256(llr.tobytes()).hexdigest() == digest
 
 
 class TestEbN0:

@@ -151,10 +151,10 @@ class TestColdStart:
     def test_lazy_scipy_calls_are_the_direct_expressions(self):
         code = (
             "import json, sys\n"
-            "from ldpcbounds import Biawgn, neg_log2_ber_lower, q_function\n"
+            "from ldpcbounds import Biawgn, q_function\n"
             "before = 'scipy.special' in sys.modules\n"
             "q = float(q_function(1.3))\n"
-            "b = float(neg_log2_ber_lower(Biawgn(0.7), 6))\n"
+            "b = float(Biawgn(0.7).neg_log2_ber_lower(6))\n"
             "print(json.dumps([before, q.hex(), b.hex()]))\n"
         )
         before, q, b = json.loads(_fresh_process(code))

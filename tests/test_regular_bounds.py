@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
-                        RegimeError, RegularParams, ber_lower_from_weight,
-                        block_regime_limit, chernoff_q_lower, closed_form_lower,
+                        RegimeError, RegularParams, block_regime_limit, chernoff_q_lower, closed_form_lower,
                         distance, empirical_tail, estimate_ber, estimate_ber_curve,
                         expected_min_weight_mc, gamma_transform, l1_threshold,
                         lentmaier_fit_a0, lentmaier_upper, lentmaier_validity_limit,
-                        neg_log2_ber_lower, neighborhood_max_counts, q_function,
+                        neighborhood_max_counts, q_function,
                         sample_graph, tail_distribution, transmit, tree_regime_limit,
                         valid_tree_counts, valid_tree_prob_lower, weight_upper_bound)
-from ldpcbounds.regular_bounds import REGIME_BLOCK, REGIME_NEIGHBORHOOD, REGIME_TREE
+from ldpcbounds.regular_bounds import (REGIME_BLOCK, REGIME_NEIGHBORHOOD, REGIME_TREE,
+                                       bound_point_from_weight)
 from ldpcbounds.tanner import bfs_distances
 
 SPEC_40 = EnsembleSpec(40, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
@@ -95,45 +95,46 @@ class TestWeightUpperBound:
 
 class TestBerLowerFromWeight:
     def test_bec(self):
-        assert ber_lower_from_weight(Bec(0.6), 4) == pytest.approx(0.1296, abs=1e-9)
+        assert Bec(0.6).ber_lower(4) == pytest.approx(0.1296, abs=1e-9)
 
     def test_bsc(self):
-        assert ber_lower_from_weight(Bsc(0.1), 3) == pytest.approx(0.01, abs=1e-9)
+        assert Bsc(0.1).ber_lower(3) == pytest.approx(0.01, abs=1e-9)
 
     def test_awgn(self):
-        assert ber_lower_from_weight(Biawgn(1.0), 1) == pytest.approx(
+        assert Biawgn(1.0).ber_lower(1) == pytest.approx(
             0.158655, abs=1e-6)
 
     def test_strictly_decreasing_in_weight(self):
         grid = np.linspace(0.0, 40.0, 81)
         for ch in (Bec(0.6), Bsc(0.1), Biawgn(1.3)):
-            vals = [ber_lower_from_weight(ch, w) for w in grid]
+            vals = [ch.ber_lower(w) for w in grid]
             assert (np.diff(vals) < 0).all()
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            ber_lower_from_weight(Bec(0.5), -1.0)
+        # The channel formulas take w >= 0; the curve point checks it once.
+        with pytest.raises(ValueError, match="weight"):
+            bound_point_from_weight(Bec(0.5), -1.0, REGIME_TREE, 1)
 
 
 class TestNegLog2BerLower:
     def test_matches_direct_at_moderate_weight(self):
         for ch, w in [(Bec(0.6), 4.0), (Bsc(0.1), 3.0), (Biawgn(1.0), 1.0),
                       (Biawgn(2.14), 10.0)]:
-            direct = -math.log2(ber_lower_from_weight(ch, w))
-            assert neg_log2_ber_lower(ch, w) == pytest.approx(direct, rel=1e-9)
+            direct = -math.log2(ch.ber_lower(w))
+            assert ch.neg_log2_ber_lower(w) == pytest.approx(direct, rel=1e-9)
 
     def test_finite_where_probability_underflows(self):
         w = 2332.0
-        assert ber_lower_from_weight(Bec(0.6), w) == 0.0  # double underflow
-        val = neg_log2_ber_lower(Bec(0.6), w)
+        assert Bec(0.6).ber_lower(w) == 0.0  # double underflow
+        val = Bec(0.6).neg_log2_ber_lower(w)
         assert val == pytest.approx(w * -math.log2(0.6), rel=1e-12)
-        assert neg_log2_ber_lower(Biawgn(1.0), 4000.0) > 1000
+        assert Biawgn(1.0).neg_log2_ber_lower(4000.0) > 1000
 
     def test_degenerate_cases(self):
-        assert neg_log2_ber_lower(Bec(0.0), 4.0) is None
-        assert neg_log2_ber_lower(Bec(1.0), 4.0) is None
-        assert neg_log2_ber_lower(Bec(0.5), 0.0) is None
-        assert neg_log2_ber_lower(Biawgn(1.0), 0.0) == 1.0
+        assert Bec(0.0).neg_log2_ber_lower(4.0) is None
+        assert Bec(1.0).neg_log2_ber_lower(4.0) is None
+        assert Bec(0.5).neg_log2_ber_lower(0.0) is None
+        assert Biawgn(1.0).neg_log2_ber_lower(0.0) == 1.0
 
 
 class TestChernoffQLower:
@@ -334,8 +335,10 @@ class TestOneIntegerRule:
         lambda n: tail_distribution(SPEC_40.var_dist, SPEC_40.check_dist, n, 4).survival.tolist(),
         lambda n: l1_threshold(SPEC_40.var_dist, SPEC_40.check_dist, n, 0.99),
         lambda n: tree_regime_limit(3, 4, n, 0.99),
+        lambda n: block_regime_limit(3, 4, n),
+        lambda n: lentmaier_validity_limit(3, 4, n),
     ], ids=["valid_tree_prob_lower", "tail_distribution", "l1_threshold",
-            "tree_regime_limit"])
+            "tree_regime_limit", "block_regime_limit", "lentmaier_validity_limit"])
     def test_block_length_is_an_integer(self, call):
         # Each of these used to run on a float N: 900.0 gave N=900's value
         # and 900.5 a value between those of N=900 and N=901.
