@@ -10,8 +10,7 @@ brute-force minimum-weight oracles.
 __version__ = "0.1.0"
 
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2, transmit
-from .degrees import (DegreeDistribution, EnsembleSpec, edge_perspective,
-                      node_perspective, realize_degree_sequences)
+from .degrees import DegreeDistribution, EnsembleSpec, realize_degree_sequences
 from .tanner import (TannerGraph, distance, girth, peg_construct, sample_graph,
                      sample_graph_with_attempts)
 from .alist import load_alist, save_alist

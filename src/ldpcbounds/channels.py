@@ -10,8 +10,7 @@ between the families, so no other module picks a family:
   implied by a minimum local-codeword weight w >= 0, as a probability
   and as its -log2.  The log form stays finite where the probability
   underflows; each is the family's own formula, so the two can differ
-  in the last bit.  ``regular_bounds.bound_point_from_weight`` checks
-  the weight.
+  in the last bit.  A negative weight raises ValueError.
 - ``de(var_dist, check_dist, iterations)`` and ``de_label``, the
   density-evolution curve at the channel's parameter and how outputs
   label it; both are None on the BSC, which has no curve here.
@@ -35,6 +34,13 @@ from .degrees import DegreeDistribution
 from .density_evolution import DeTrace, de_bec, ga_awgn, q_function
 
 
+def _weight(weight: float) -> float:
+    """The weight of a channel bound, which must be >= 0."""
+    if weight < 0:
+        raise ValueError(f"weight must be >= 0, got {weight!r}")
+    return weight
+
+
 @dataclass(frozen=True)
 class Bec:
     """Binary erasure channel with erasure probability epsilon."""
@@ -54,11 +60,11 @@ class Bec:
 
     def ber_lower(self, weight: float) -> float:
         """eps**w."""
-        return float(self.epsilon ** weight)
+        return float(self.epsilon ** _weight(weight))
 
     def neg_log2_ber_lower(self, weight: float) -> float | None:
         """w * -log2(eps); None where the bound is 0 or 1."""
-        if self.epsilon <= 0.0 or self.epsilon >= 1.0 or weight == 0:
+        if _weight(weight) == 0 or self.epsilon <= 0.0 or self.epsilon >= 1.0:
             return None
         return weight * -log2(self.epsilon)
 
@@ -90,11 +96,11 @@ class Bsc:
 
     def ber_lower(self, weight: float) -> float:
         """q**((w+1)/2)."""
-        return float(self.q ** ((weight + 1.0) / 2.0))
+        return float(self.q ** ((_weight(weight) + 1.0) / 2.0))
 
     def neg_log2_ber_lower(self, weight: float) -> float:
         """(w+1)/2 * -log2(q)."""
-        return (weight + 1.0) / 2.0 * -log2(self.q)
+        return (_weight(weight) + 1.0) / 2.0 * -log2(self.q)
 
 
 @dataclass(frozen=True)
@@ -117,11 +123,11 @@ class Biawgn:
 
     def ber_lower(self, weight: float) -> float:
         """Q(sqrt(w/sigma2))."""
-        return float(q_function(sqrt(weight / self.sigma2)))
+        return float(q_function(sqrt(_weight(weight) / self.sigma2)))
 
     def neg_log2_ber_lower(self, weight: float) -> float:
         """-log2 Q(sqrt(w/sigma2)), through scipy's ``log_ndtr``."""
-        if weight == 0:
+        if _weight(weight) == 0:
             return 1.0  # Q(0) = 1/2
         from scipy.special import log_ndtr
 

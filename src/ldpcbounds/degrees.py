@@ -1,16 +1,19 @@
 """Degree distributions and ensemble specifications.
 
-A degree distribution is a finite polynomial over node degrees, carried
-either from the node perspective (fraction of nodes with each degree) or
-from the edge perspective (fraction of edges attached to nodes of each
-degree).  An ensemble specification fixes the number of variable nodes
-together with node-perspective distributions for both sides of the
-bipartite graph.
+A degree distribution is a finite polynomial over node degrees, stored
+from the node perspective: the fraction of nodes with each degree.  The
+edge perspective (the fraction of edges attached to nodes of each
+degree), whose polynomials are the laws lambda and rho of density
+evolution and the distance recursion, is a derived view of the same
+distribution; ``DegreeDistribution.from_edge`` builds one from edge
+fractions.  An ensemble specification fixes the number of variable nodes
+together with the distributions of both sides of the bipartite graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -18,71 +21,77 @@ import numpy as np
 from ._util import node_count
 from .errors import InvalidDistributionError, InvalidSpecError
 
-NODE = "node"
-EDGE = "edge"
-
 _SUM_TOL = 1e-12
+
+
+def _checked_terms(terms: Mapping[int, float]) -> dict[int, float]:
+    """Degree -> fraction, checked and sorted by degree."""
+    if not terms:
+        raise InvalidDistributionError("degree distribution has no terms")
+    clean: dict[int, float] = {}
+    for degree, fraction in terms.items():
+        d = int(degree)
+        if d != degree or d < 1:
+            raise InvalidDistributionError(f"degree {degree!r} is not an integer >= 1")
+        f = float(fraction)
+        if not 0.0 < f <= 1.0:
+            raise InvalidDistributionError(
+                f"fraction {fraction!r} for degree {d} is outside (0, 1]"
+            )
+        if d in clean:
+            raise InvalidDistributionError(f"degree {d} appears twice")
+        clean[d] = f
+    total = sum(clean.values())
+    if abs(total - 1.0) > _SUM_TOL:
+        raise InvalidDistributionError(
+            f"fractions sum to {total!r}, expected 1 within {_SUM_TOL}"
+        )
+    return dict(sorted(clean.items()))
 
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Finite degree distribution from the node or edge perspective.
+    """Finite degree distribution, stored as node fractions.
 
     Parameters
     ----------
-    perspective : str
-        Either ``"node"`` or ``"edge"``.
     terms : mapping of int to float
-        Degree -> fraction.  Fractions must lie in (0, 1] and sum to 1
-        within 1e-12; degrees must be integers >= 1.
+        Degree -> fraction of nodes.  Fractions must lie in (0, 1] and sum
+        to 1 within 1e-12; degrees must be integers >= 1.
 
     Notes
     -----
-    As a polynomial, a node-perspective distribution evaluates as
-    ``sum_d f_d x**d`` while an edge-perspective one evaluates as
-    ``sum_d f_d x**(d-1)``, matching the usual generating-function
+    ``evaluate`` is the node polynomial ``sum_d f_d x**d``;
+    ``edge_evaluate`` is the edge polynomial ``sum_d e_d x**(d-1)`` over
+    the edge fractions ``edge_terms``, the usual generating-function
     conventions for the two perspectives.
     """
 
-    perspective: str
-    terms: Mapping[int, float] = field(default_factory=dict)
+    terms: Mapping[int, float]
 
     def __post_init__(self):
-        if self.perspective not in (NODE, EDGE):
-            raise InvalidDistributionError(
-                f"perspective must be {NODE!r} or {EDGE!r}, got {self.perspective!r}"
-            )
-        if not self.terms:
-            raise InvalidDistributionError("degree distribution has no terms")
-        clean: dict[int, float] = {}
-        for degree, fraction in self.terms.items():
-            d = int(degree)
-            if d != degree or d < 1:
-                raise InvalidDistributionError(f"degree {degree!r} is not an integer >= 1")
-            f = float(fraction)
-            if not 0.0 < f <= 1.0:
-                raise InvalidDistributionError(
-                    f"fraction {fraction!r} for degree {d} is outside (0, 1]"
-                )
-            if d in clean:
-                raise InvalidDistributionError(f"degree {d} appears twice")
-            clean[d] = f
-        total = sum(clean.values())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise InvalidDistributionError(
-                f"fractions sum to {total!r}, expected 1 within {_SUM_TOL}"
-            )
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
+        object.__setattr__(self, "terms", _checked_terms(self.terms))
 
     def __hash__(self):
         # The terms are stored sorted, so their items are a canonical key;
         # this also makes an EnsembleSpec hashable.
-        return hash((self.perspective, tuple(self.terms.items())))
+        return hash(tuple(self.terms.items()))
 
     @classmethod
-    def regular(cls, degree: int, perspective: str = NODE) -> "DegreeDistribution":
-        """Single-degree distribution x**degree (node) or x**(degree-1) (edge)."""
-        return cls(perspective, {degree: 1.0})
+    def regular(cls, degree: int) -> "DegreeDistribution":
+        """Single-degree distribution x**degree."""
+        return cls({degree: 1.0})
+
+    @classmethod
+    def from_edge(cls, terms: Mapping[int, float]) -> "DegreeDistribution":
+        """Distribution whose edge fractions are ``terms``.
+
+        The edge fractions get the same checks as node fractions; the
+        node fraction for degree d is ``(e_d/d) / sum_d' (e_d'/d')``.
+        """
+        edge = _checked_terms(terms)
+        total = sum(f / d for d, f in edge.items())
+        return cls({d: (f / d) / total for d, f in edge.items()})
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -92,52 +101,23 @@ class DegreeDistribution:
     def max_degree(self) -> int:
         return max(self.terms)
 
-    @property
-    def min_degree(self) -> int:
-        return min(self.terms)
-
-    def fraction(self, degree: int) -> float:
-        return self.terms.get(int(degree), 0.0)
+    @cached_property
+    def edge_terms(self) -> dict[int, float]:
+        """Edge fractions: ``d*f_d / sum_d' d'*f_d'`` for each degree d."""
+        total = sum(d * f for d, f in self.terms.items())
+        return {d: d * f / total for d, f in self.terms.items()}
 
     def mean_degree(self) -> float:
-        """Average node degree.  Node perspective: sum d*f_d; edge: 1/sum(f_d/d)."""
-        if self.perspective == NODE:
-            return sum(d * f for d, f in self.terms.items())
-        return 1.0 / sum(f / d for d, f in self.terms.items())
+        """Average node degree sum d*f_d."""
+        return sum(d * f for d, f in self.terms.items())
 
     def evaluate(self, x: float) -> float:
-        """Polynomial value: sum f_d x**d (node) or sum f_d x**(d-1) (edge)."""
-        shift = 0 if self.perspective == NODE else 1
-        return float(sum(f * x ** (d - shift) for d, f in self.terms.items()))
+        """Node polynomial sum f_d x**d."""
+        return float(sum(f * x ** d for d, f in self.terms.items()))
 
-
-def edge_perspective(dist: DegreeDistribution) -> DegreeDistribution:
-    """Convert a node-perspective distribution to the edge perspective.
-
-    The edge-perspective fraction for degree d is ``d*f_d / sum_d' d'*f_d'``.
-    """
-    if dist.perspective != NODE:
-        raise InvalidDistributionError("edge_perspective expects a node-perspective input")
-    total = sum(d * f for d, f in dist.terms.items())
-    return DegreeDistribution(EDGE, {d: d * f / total for d, f in dist.terms.items()})
-
-
-def node_perspective(dist: DegreeDistribution) -> DegreeDistribution:
-    """Convert an edge-perspective distribution back to the node perspective.
-
-    The node-perspective fraction for degree d is ``(f_d/d) / sum_d' (f_d'/d')``.
-    """
-    if dist.perspective != EDGE:
-        raise InvalidDistributionError("node_perspective expects an edge-perspective input")
-    total = sum(f / d for d, f in dist.terms.items())
-    return DegreeDistribution(NODE, {d: (f / d) / total for d, f in dist.terms.items()})
-
-
-def _require_node_dists(var_dist: DegreeDistribution, check_dist: DegreeDistribution):
-    if var_dist.perspective != NODE or check_dist.perspective != NODE:
-        raise InvalidSpecError("ensemble distributions must be node-perspective")
-    if check_dist.min_degree < 2:
-        raise InvalidSpecError("check-node degrees must be >= 2")
+    def edge_evaluate(self, x: float) -> float:
+        """Edge polynomial sum e_d x**(d-1), lambda or rho of density evolution."""
+        return float(sum(f * x ** (d - 1) for d, f in self.edge_terms.items()))
 
 
 def _largest_remainder_counts(total: int, dist: DegreeDistribution) -> dict[int, int]:
@@ -203,7 +183,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if node_count(self.n_vars, InvalidSpecError) < 2:
             raise InvalidSpecError("n_vars must be >= 2")
-        _require_node_dists(self.var_dist, self.check_dist)
+        if min(self.check_dist.terms) < 2:
+            raise InvalidSpecError("check-node degrees must be >= 2")
         m = self.n_checks
         if not 0 < m < self.n_vars:
             raise InvalidSpecError(f"check count {m} leaves design rate outside (0, 1)")

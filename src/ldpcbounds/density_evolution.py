@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import at_least
-from .degrees import DegreeDistribution, edge_perspective
+from .degrees import DegreeDistribution
 
 
 def q_function(x: float) -> float:
@@ -47,15 +47,13 @@ def de_bec(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon outside [0, 1]")
     iterations = at_least(iterations, "iterations")
-    lam = edge_perspective(var_dist)
-    rho = edge_perspective(check_dist)
     x = np.empty(iterations + 1)
     ber = np.empty(iterations + 1)
     x[0] = epsilon
     ber[0] = epsilon
     for t in range(1, iterations + 1):
-        y = 1.0 - rho.evaluate(1.0 - x[t - 1])
-        x[t] = epsilon * lam.evaluate(y)
+        y = 1.0 - check_dist.edge_evaluate(1.0 - x[t - 1])
+        x[t] = epsilon * var_dist.edge_evaluate(y)
         ber[t] = epsilon * var_dist.evaluate(y)
     return DeTrace(message_error=x, ber=ber)
 
@@ -121,8 +119,8 @@ def ga_awgn(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
     iterations = at_least(iterations, "iterations")
-    lam = edge_perspective(var_dist)
-    rho = edge_perspective(check_dist)
+    lam = var_dist.edge_terms
+    rho = check_dist.edge_terms
     s = 2.0 / sigma2
     message_error = np.empty(iterations + 1)
     ber = np.empty(iterations + 1)
@@ -130,15 +128,15 @@ def ga_awgn(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
     ber[0] = q_function(np.sqrt(s / 2.0))
     m_c = 0.0
     for t in range(1, iterations + 1):
-        x = sum(f * phi_approx(s + (d - 1) * m_c) for d, f in lam.terms.items())
+        x = sum(f * phi_approx(s + (d - 1) * m_c) for d, f in lam.items())
         x = min(max(x, 0.0), 1.0)
         m_c = sum(
             f * phi_inverse(-np.expm1((k - 1) * np.log1p(-x))) if x < 1.0 else 0.0
-            for k, f in rho.terms.items()
+            for k, f in rho.items()
         )
         message_error[t] = sum(
             f * q_function(np.sqrt((s + (d - 1) * m_c) / 2.0))
-            for d, f in lam.terms.items()
+            for d, f in lam.items()
         )
         ber[t] = sum(
             f * q_function(np.sqrt((s + d * m_c) / 2.0))

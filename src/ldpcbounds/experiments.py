@@ -22,8 +22,7 @@ from . import __version__
 from ._util import fmt_number
 from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
-from .degrees import (EDGE, NODE, DegreeDistribution, EnsembleSpec, node_perspective,
-                      realize_degree_sequences)
+from .degrees import DegreeDistribution, EnsembleSpec, realize_degree_sequences
 from .errors import CapacityError, ConfigError, LdpcBoundsError
 from .irregular import (BRANCH_BELOW, RecursionTrace, empirical_tail,
                         irregular_lower_bound, tail_distribution, weight_recursion)
@@ -67,7 +66,7 @@ _ENSEMBLE_KEYS = {
     "n_vars": {"type": int, "required": True},
     "var_dist": {"type": dict, "required": True, "keys": _degree_keys},
     "check_dist": {"type": dict, "required": True, "keys": _degree_keys},
-    "perspective": {"type": str, "among": (NODE, EDGE)},
+    "perspective": {"type": str, "among": ("node", "edge")},
 }
 # channel type -> (model, schema of its parameters); the model takes the first one.
 _CHANNELS = {
@@ -201,16 +200,15 @@ def _block_errors(block: dict, schema: dict, where: str = "config") -> list[str]
 def build_spec(config: ExperimentConfig) -> EnsembleSpec:
     """EnsembleSpec from the config's ensemble block, as the schema checked it.
 
-    ``perspective: "edge"`` marks the distributions as edge-perspective
-    (lambda/rho); they are converted to the node perspective first.
+    ``perspective: "edge"`` gives the distributions as edge fractions
+    (lambda/rho) instead of node fractions.
     """
     ens = config.ensemble
-    perspective = ens.get("perspective") or NODE
-    dists = []
-    for key in ("var_dist", "check_dist"):
-        dist = DegreeDistribution(perspective, {int(d): f for d, f in ens[key].items()})
-        dists.append(node_perspective(dist) if perspective == EDGE else dist)
-    return EnsembleSpec(ens["n_vars"], *dists)
+    edge = ens.get("perspective") == "edge"
+    make = DegreeDistribution.from_edge if edge else DegreeDistribution
+    var_dist, check_dist = (make({int(d): f for d, f in ens[key].items()})
+                            for key in ("var_dist", "check_dist"))
+    return EnsembleSpec(ens["n_vars"], var_dist, check_dist)
 
 
 def build_channel(config: ExperimentConfig, spec: EnsembleSpec | None) -> tuple[ChannelModel, dict]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import STREAM_TAIL_GRAPH, STREAM_TAIL_PAIRS, at_least, derived_rng
 from .channels import ChannelModel
-from .degrees import DegreeDistribution, EnsembleSpec, edge_perspective
+from .degrees import DegreeDistribution, EnsembleSpec
 from .errors import InvalidDistributionError
 from .regular_bounds import (BoundPoint, RegularParams, bound_point_from_weight,
                              closed_form_lower, tree_regime_limit)
@@ -37,11 +37,9 @@ def l1_threshold(var_dist: DegreeDistribution, check_dist: DegreeDistribution,
                  n_vars: int, theta1: float) -> float:
     """Iteration threshold theta1 * log N^2 in base (Jmax-1)^5 (Kmax-1)^3.
 
-    Jmax and Kmax are the largest support degrees of the two node-
-    perspective distributions; degenerate supports are rejected.
+    Jmax and Kmax are the largest degrees of the two distributions;
+    degenerate supports are rejected.
     """
-    if var_dist.perspective != "node" or check_dist.perspective != "node":
-        raise InvalidDistributionError("threshold expects node-perspective inputs")
     j_max = var_dist.max_degree
     k_max = check_dist.max_degree
     if j_max < 2:
@@ -77,17 +75,17 @@ def _survival_chain(var_dist: DegreeDistribution, check_dist: DegreeDistribution
                     n_vars: int, steps: int, below: bool
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unroll the P_2t chain for t = 1..steps in the chosen branch."""
-    lam = edge_perspective(var_dist)
-    rho = edge_perspective(check_dist)
+    lam = var_dist.edge_evaluate
+    rho = check_dist.edge_evaluate
     base = 1.0 - 1.0 / n_vars
     p_even = np.full(steps, np.nan)
     p_odd = np.empty(steps)
     p_surv = np.empty(steps)
-    p_odd[0] = base if below else rho.evaluate(base)
+    p_odd[0] = base if below else rho(base)
     p_surv[0] = var_dist.evaluate(p_odd[0])
     for t in range(2, steps + 1):
-        p_even[t - 1] = lam.evaluate(p_odd[t - 2])
-        p_odd[t - 1] = p_even[t - 1] if below else rho.evaluate(p_even[t - 1])
+        p_even[t - 1] = lam(p_odd[t - 2])
+        p_odd[t - 1] = p_even[t - 1] if below else rho(p_even[t - 1])
         p_surv[t - 1] = var_dist.evaluate(p_odd[t - 1])
     return p_even, p_odd, p_surv
 
@@ -133,10 +131,6 @@ class TailDistribution:
     survival: np.ndarray
     std_error: np.ndarray | None = None
     n_pairs: int | None = None
-
-    @property
-    def d_max(self) -> int:
-        return self.survival.size - 1
 
     @property
     def survival_including_root(self) -> np.ndarray:
@@ -224,7 +218,7 @@ def maxdeg_relaxation(channel: ChannelModel, var_dist: DegreeDistribution,
     bounds the weight of any root-one local codeword it has, and the
     channel bound decreases in the weight.  The tree regime's threshold
     and weight rest on the regular ensemble's analysis, which is not
-    carried over, and N may be nudged to a smaller multiple of Kmax.
+    carried over, and N may be nudged up to the next multiple of Kmax.
     Returns None when Jmax < 3, where the closed form does not apply.
     No ordering between this relaxation and the recursion-based bound
     is asserted.  A library function only: no experiment kind writes it.
@@ -235,9 +229,10 @@ def maxdeg_relaxation(channel: ChannelModel, var_dist: DegreeDistribution,
         return None
     n = n_vars
     if (n * j_max) % k_max != 0:
-        # The closed form only reads N through logarithms, so nudging to
-        # the nearest socket-consistent size keeps parameters valid.
-        n = max(k_max, int(round(n / k_max)) * k_max)
+        # The closed form reads N through logarithms and as the block-
+        # regime weight; nudging up to a socket-consistent size keeps the
+        # parameters valid and that weight at least N.
+        n = -(-n // k_max) * k_max
     params = RegularParams(j=j_max, k=k_max, n_vars=n, iterations=iterations,
                            theta1=theta1)
     return closed_form_lower(channel, params)

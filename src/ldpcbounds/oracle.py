@@ -224,10 +224,6 @@ class ValidTree:
     def weight(self) -> int:
         return sum(len(lvl) for lvl in self.levels[0::2])
 
-    @property
-    def height(self) -> int:
-        return len(self.levels) - 1
-
 
 def valid_tree_search(w: Window) -> ValidTree | None:
     """Backtracking search for a weight-carrying subtree rooted at the root.

@@ -160,10 +160,8 @@ def bound_point_from_weight(channel: ChannelModel, weight: float, regime: str,
     """Assemble a curve point: channel bound, relaxation, and gamma value.
 
     The channel's own ``ber_lower`` and ``neg_log2_ber_lower`` give the
-    bound; a negative weight raises ValueError.
+    bound; they raise ValueError on a negative weight.
     """
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
     p = channel.ber_lower(weight)
     relaxed = None
     if isinstance(channel, Biawgn):

@@ -12,8 +12,8 @@ def test_roundtrip_sampled_graph(tmp_path, spec34_900):
 
 
 def test_roundtrip_irregular(tmp_path):
-    spec = EnsembleSpec(60, DegreeDistribution("node", {2: 0.5, 3: 0.5}),
-                        DegreeDistribution("node", {4: 0.5, 6: 0.5}))
+    spec = EnsembleSpec(60, DegreeDistribution({2: 0.5, 3: 0.5}),
+                        DegreeDistribution({4: 0.5, 6: 0.5}))
     g = sample_graph(spec, 4)
     path = tmp_path / "irr.alist"
     save_alist(g, path)

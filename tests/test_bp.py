@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import erasure_bp_reference
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
                         TannerGraph, bec_unresolved, decode, float_bp,
-                        node_perspective, sample_graph, transmit)
+                        sample_graph, transmit)
 from ldpcbounds.bp import LLR_CLAMP
 
 
@@ -344,9 +344,8 @@ class TestMatchesEdgeReference:
     def test_irregular_figure6_degrees(self, channel):
         # Variable degrees 2-4 and check degrees 5-6, so both slot tables pad.
         spec = EnsembleSpec(
-            600, node_perspective(DegreeDistribution("edge", {2: 0.38354, 3: 0.04237,
-                                                              4: 0.57409})),
-            node_perspective(DegreeDistribution("edge", {5: 0.24123, 6: 0.75877})))
+            600, DegreeDistribution.from_edge({2: 0.38354, 3: 0.04237, 4: 0.57409}),
+            DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877}))
         g = sample_graph(spec, 3)
         assert len(set(g.check_degrees.tolist())) == 2
         for trial in range(3):

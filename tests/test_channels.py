@@ -34,6 +34,14 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="not finite"):
             channel(value)
 
+    @pytest.mark.parametrize("method", ["ber_lower", "neg_log2_ber_lower"])
+    @pytest.mark.parametrize("channel", [Bec(0.5), Bec(0.0), Bsc(0.1), Biawgn(1.0)],
+                             ids=["bec", "bec-noiseless", "bsc", "biawgn"])
+    def test_negative_weight_rejected(self, channel, method):
+        # Every channel bound takes a weight w >= 0, whatever its parameter.
+        with pytest.raises(ValueError, match="weight"):
+            getattr(channel, method)(-1.0)
+
 
 class TestTransmit:
     def test_bec_no_erasures(self):

@@ -57,7 +57,7 @@ class TestDeBec:
     def test_regular_equals_generic_two_term_degenerate(self):
         # A two-term distribution with all mass shifted to one degree must
         # follow the single-term path exactly.
-        near_regular = DegreeDistribution("node", {3: 1.0})
+        near_regular = DegreeDistribution({3: 1.0})
         a = de_bec(R3, R6, 0.35, 10)
         b = de_bec(near_regular, R6, 0.35, 10)
         assert np.array_equal(a.message_error, b.message_error)

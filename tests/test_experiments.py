@@ -105,7 +105,9 @@ class TestConfigParsing:
         spec = build_spec(make_config(kind="tail", seed=1, ensemble=EDGE_ENSEMBLE,
                                       d_max=4))
         assert spec.n_vars == 400
-        assert spec.var_dist.perspective == "node"
+        assert spec.var_dist == DegreeDistribution.from_edge(
+            {2: 0.38354, 3: 0.04237, 4: 0.57409})
+        assert spec.check_dist == DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877})
 
     def test_eb_n0_conversion_notes(self):
         cfg = make_config(kind="de", seed=1, ensemble=REGULAR_ENSEMBLE,

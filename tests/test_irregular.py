@@ -9,27 +9,24 @@ from ldpcbounds import (Bec, DegreeDistribution, EnsembleSpec,
                         InvalidDistributionError, closed_form_lower,
                         RegularParams, empirical_tail, irregular_lower_bound,
                         l1_threshold, maxdeg_relaxation, neighborhood_max_counts,
-                        node_perspective, tail_distribution, weight_recursion)
+                        tail_distribution, weight_recursion)
 from ldpcbounds.irregular import BRANCH_ABOVE, BRANCH_BELOW
 
 X3 = DegreeDistribution.regular(3)
 X4 = DegreeDistribution.regular(4)
 
 # Edge-perspective laws of the rate-1/2 benchmark ensemble.
-BENCH_LAMBDA = DegreeDistribution("edge", {2: 0.38354, 3: 0.04237, 4: 0.57409})
-BENCH_RHO = DegreeDistribution("edge", {5: 0.24123, 6: 0.75877})
-BENCH_L = node_perspective(BENCH_LAMBDA)
-BENCH_R = node_perspective(BENCH_RHO)
+BENCH_L = DegreeDistribution.from_edge({2: 0.38354, 3: 0.04237, 4: 0.57409})
+BENCH_R = DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877})
 
-BG2_L = DegreeDistribution("node", {2: 3 / 7, 3: 4 / 7})
-BG2_R = DegreeDistribution("node", {8: 0.5, 10: 0.5})
+BG2_L = DegreeDistribution({2: 3 / 7, 3: 4 / 7})
+BG2_R = DegreeDistribution({8: 0.5, 10: 0.5})
 
 
 def degree_dist_strategy():
     return st.dictionaries(st.integers(2, 8), st.integers(1, 9),
                            min_size=1, max_size=4).map(
-        lambda w: DegreeDistribution(
-            "node", {d: v / sum(w.values()) for d, v in w.items()}))
+        lambda w: DegreeDistribution({d: v / sum(w.values()) for d, v in w.items()}))
 
 
 class TestL1Threshold:
@@ -89,7 +86,7 @@ class TestWeightRecursion:
         st.integers(10, 10_000), st.integers(1, 40))
     def test_probabilities_stay_in_unit_interval(self, var_dist, chk_weights, n, l):
         check_dist = DegreeDistribution(
-            "node", {d: v / sum(chk_weights.values()) for d, v in chk_weights.items()})
+            {d: v / sum(chk_weights.values()) for d, v in chk_weights.items()})
         trace = weight_recursion(var_dist, check_dist, n, l, 0.99)
         for arr in (trace.p_tilde_odd, trace.p_survival):
             assert ((arr >= 0) & (arr <= 1)).all()
@@ -147,7 +144,7 @@ class TestEmpiricalTail:
         # Complete-bipartite instance: every variable meets all three checks,
         # so every distinct pair sits at distance exactly 2.
         spec = EnsembleSpec(4, DegreeDistribution.regular(3),
-                            DegreeDistribution("node", {4: 1.0}))
+                            DegreeDistribution({4: 1.0}))
         tail = empirical_tail(spec, 2, 2, 20, seed=3)
         assert tail.survival[0] == 1.0
         assert tail.survival[2] == 0.0
@@ -203,6 +200,15 @@ class TestBoundPoints:
         with pytest.raises(TypeError):
             maxdeg_relaxation(Bec(0.2), X3, X4, 5400, 1.5, 0.99)
 
+    def test_maxdeg_relaxation_block_weight_not_below_n(self):
+        # N = 20000 is no multiple of Kmax = 6: it is nudged up to 20004,
+        # never down, so the block-regime weight stays at least N.
+        points = [maxdeg_relaxation(Bec(0.45), BENCH_L, BENCH_R, 20000, l, 0.99)
+                  for l in range(1, 11)]
+        assert [p.regime for p in points] == ["tree"] + ["neighborhood"] * 2 + ["block"] * 7
+        for p in points[3:]:
+            assert p.weight >= 20000
+
     def test_maxdeg_not_applicable_below_degree_three(self):
-        low = DegreeDistribution("node", {2: 1.0})
+        low = DegreeDistribution({2: 1.0})
         assert maxdeg_relaxation(Bec(0.1), low, X4, 1000, 2, 0.99) is None

@@ -341,8 +341,8 @@ class TestExpectedMinWeightMc:
         # root of (seed, STREAM_ORACLE_NODE, i), whatever the sampler does
         # inside, and its window labels that graph from that root to depth
         # 2l+1; infeasible and capacity-skipped samples leave no weight.
-        spec = EnsembleSpec(n_vars, DegreeDistribution("node", var_dist),
-                            DegreeDistribution("node", check_dist))
+        spec = EnsembleSpec(n_vars, DegreeDistribution(var_dist),
+                            DegreeDistribution(check_dist))
         seed, n_samples = 8, 40
         stream = list(windows(spec, iterations, n_samples, seed))
         assert len(stream) == n_samples

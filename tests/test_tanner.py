@@ -197,8 +197,8 @@ def hand_built_graphs():
         TannerGraph(4, 3, [(0, 0), (1, 0), (3, 0), (1, 1), (2, 1), (0, 2), (2, 2), (3, 2)]),
         sample_graph(EnsembleSpec(24, DegreeDistribution.regular(3),
                                   DegreeDistribution.regular(4)), 0),
-        sample_graph(EnsembleSpec(40, DegreeDistribution("node", {2: 0.5, 3: 0.5}),
-                                  DegreeDistribution("node", {4: 0.6, 5: 0.4})), 1),
+        sample_graph(EnsembleSpec(40, DegreeDistribution({2: 0.5, 3: 0.5}),
+                                  DegreeDistribution({4: 0.6, 5: 0.4})), 1),
     ]
 
 
@@ -295,8 +295,8 @@ class TestSampling:
         assert np.mean(attempts) < 200
 
     def test_sampled_degrees_stay_in_support(self):
-        var = DegreeDistribution("node", {2: 0.5, 3: 0.5})
-        chk = DegreeDistribution("node", {4: 0.6, 5: 0.4})
+        var = DegreeDistribution({2: 0.5, 3: 0.5})
+        chk = DegreeDistribution({4: 0.6, 5: 0.4})
         spec = EnsembleSpec(120, var, chk)
         g = sample_graph(spec, 9)
         assert set(np.unique(g.var_degrees)) <= {2, 3}
@@ -341,8 +341,8 @@ class TestSampling:
     def test_threads_share_one_spec(self):
         # The threads share the spec's cached set-up, which one of them
         # builds; every graph must still be the reference sampler's.
-        spec = EnsembleSpec(301, DegreeDistribution("node", {2: 0.5, 3: 0.3, 5: 0.2}),
-                            DegreeDistribution("node", {4: 0.5, 6: 0.5}))
+        spec = EnsembleSpec(301, DegreeDistribution({2: 0.5, 3: 0.3, 5: 0.2}),
+                            DegreeDistribution({4: 0.5, 6: 0.5}))
         var, chk = realize_degree_sequences(spec)
         want = [reference_sample(var, chk, seed, 10_000)[0] for seed in range(24)]
         interval = sys.getswitchinterval()
@@ -376,8 +376,8 @@ class TestSampling:
         ({2: 0.6, 3: 0.1, 4: 0.3}, {5: 0.4, 6: 0.6}, 2000),
     ])
     def test_ensembles_match_sort_based_sampler(self, var_dist, check_dist, n_vars):
-        spec = EnsembleSpec(n_vars, DegreeDistribution("node", var_dist),
-                            DegreeDistribution("node", check_dist))
+        spec = EnsembleSpec(n_vars, DegreeDistribution(var_dist),
+                            DegreeDistribution(check_dist))
         var, chk = realize_degree_sequences(spec)
         for seed in range(3):
             got_graph, got_attempts = sample_graph_with_attempts(spec, seed)
