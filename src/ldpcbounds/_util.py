@@ -48,8 +48,6 @@ def fmt_number(value) -> str:
     """
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     x = float(value)

@@ -6,14 +6,21 @@ edge perspective (the fraction of edges attached to nodes of each
 degree), whose polynomials are the laws lambda and rho of density
 evolution and the distance recursion, is a derived view of the same
 distribution; ``DegreeDistribution.from_edge`` builds one from edge
-fractions.  An ensemble specification fixes the number of variable nodes
-together with the distributions of both sides of the bipartite graph.
+fractions.  A distribution is read-only: its terms and edge terms are
+mapping proxies.
+
+An ensemble specification fixes the number of variable nodes together
+with the distributions of both sides of the bipartite graph.  It is
+realized once, when it is made, into the read-only degree sequences
+``var_degrees`` and ``check_degrees``; every graph sampled from it
+shares these two arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -70,7 +77,11 @@ class DegreeDistribution:
     terms: Mapping[int, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _checked_terms(self.terms))
+        object.__setattr__(self, "terms", MappingProxyType(_checked_terms(self.terms)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; rebuild from the plain terms.
+        return DegreeDistribution, (dict(self.terms),)
 
     def __hash__(self):
         # The terms are stored sorted, so their items are a canonical key;
@@ -102,10 +113,10 @@ class DegreeDistribution:
         return max(self.terms)
 
     @cached_property
-    def edge_terms(self) -> dict[int, float]:
+    def edge_terms(self) -> Mapping[int, float]:
         """Edge fractions: ``d*f_d / sum_d' d'*f_d'`` for each degree d."""
         total = sum(d * f for d, f in self.terms.items())
-        return {d: d * f / total for d, f in self.terms.items()}
+        return MappingProxyType({d: d * f / total for d, f in self.terms.items()})
 
     def mean_degree(self) -> float:
         """Average node degree sum d*f_d."""
@@ -174,6 +185,13 @@ class EnsembleSpec:
     are realized by largest-remainder rounding with a bucket-shift repair
     so that variable and check sockets match exactly.  Construction fails
     when no balanced realization exists.
+
+    Attributes
+    ----------
+    var_degrees, check_degrees : read-only int64 arrays
+        The realized degree sequences, of lengths N and M, each in
+        ascending order; the socket matching permutes everything, so the
+        order is immaterial to the ensemble.
     """
 
     n_vars: int
@@ -188,8 +206,14 @@ class EnsembleSpec:
         m = self.n_checks
         if not 0 < m < self.n_vars:
             raise InvalidSpecError(f"check count {m} leaves design rate outside (0, 1)")
-        # Fails loudly now rather than at first sampling call.
-        realize_degree_sequences(self)
+        for name, degrees in zip(("var_degrees", "check_degrees"),
+                                 _realize_degree_sequences(self)):
+            degrees.flags.writeable = False
+            object.__setattr__(self, name, degrees)
+
+    def __reduce__(self):
+        # Rebuilt from its fields, a spec realizes its read-only degrees anew.
+        return EnsembleSpec, (self.n_vars, self.var_dist, self.check_dist)
 
     @property
     def n_checks(self) -> int:
@@ -201,13 +225,9 @@ class EnsembleSpec:
         return 1.0 - self.n_checks / self.n_vars
 
 
-def realize_degree_sequences(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Integer degree sequences for one ensemble instance.
-
-    Returns ``(var_degrees, check_degrees)`` with lengths N and M.  Node
-    degrees are assigned in ascending-degree order, which is immaterial to
-    the ensemble because the socket matching permutes everything anyway.
-    """
+def _realize_degree_sequences(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Integer degree sequences ``(var_degrees, check_degrees)`` of lengths
+    N and M, each in ascending order."""
     var_counts = _largest_remainder_counts(spec.n_vars, spec.var_dist)
     chk_counts = _largest_remainder_counts(spec.n_checks, spec.check_dist)
     var_sockets = sum(d * c for d, c in var_counts.items())

@@ -16,13 +16,11 @@ from datetime import datetime, timezone
 from math import isfinite, log2
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._util import fmt_number
 from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
-from .degrees import DegreeDistribution, EnsembleSpec, realize_degree_sequences
+from .degrees import DegreeDistribution, EnsembleSpec
 from .errors import CapacityError, ConfigError, LdpcBoundsError
 from .irregular import (BRANCH_BELOW, RecursionTrace, empirical_tail,
                         irregular_lower_bound, tail_distribution, weight_recursion)
@@ -369,8 +367,7 @@ def _simulated_rows(config: ExperimentConfig, report: ValidationReport,
     elif config.code == "ensemble":
         code = spec
     else:
-        var_degrees, _ = realize_degree_sequences(spec)
-        code = peg_construct(spec.n_vars, np.sort(var_degrees), spec.n_checks)
+        code = peg_construct(spec.n_vars, spec.var_degrees, spec.n_checks)
     ests = estimate_ber_curve(code, report.channel, iterations, config.trials, config.seed,
                               threads=config.threads,
                               trials_per_block=config.trials_per_block)

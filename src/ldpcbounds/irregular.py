@@ -60,9 +60,7 @@ class RecursionTrace:
     the variable-side intermediate (undefined at t = 1, stored as NaN).
     """
 
-    n_vars: int
     iterations: int
-    theta1: float
     l1: float
     branch: str
     p_tilde_even: np.ndarray
@@ -101,6 +99,8 @@ def weight_recursion(var_dist: DegreeDistribution, check_dist: DegreeDistributio
     """
     iterations = at_least(iterations, "iterations", 1)
     n_vars = at_least(n_vars, "n_vars", 2)
+    if not 0.0 < theta1 < 1.0:
+        raise ValueError("theta1 must lie in (0, 1)")
     l1 = l1_threshold(var_dist, check_dist, n_vars, theta1)
     below = iterations <= l1
     branch = BRANCH_BELOW if below else BRANCH_ABOVE
@@ -110,7 +110,7 @@ def weight_recursion(var_dist: DegreeDistribution, check_dist: DegreeDistributio
         log_prod = float(np.sum(np.log(p_surv)))
     w_ub = float(n_vars * -np.expm1(log_prod))
     return RecursionTrace(
-        n_vars=n_vars, iterations=iterations, theta1=theta1, l1=l1, branch=branch,
+        iterations=iterations, l1=l1, branch=branch,
         p_tilde_even=p_even, p_tilde_odd=p_odd, p_survival=p_surv, w_ub=w_ub,
     )
 

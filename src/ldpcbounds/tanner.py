@@ -1,25 +1,27 @@
 """Tanner graphs: construction, sampling, and distance queries.
 
-Graphs are immutable after construction.  They keep the canonical edge
-list (``edge_var``, ``edge_chk``), which numbers the edges, and one
-adjacency layout, two sentinel-padded tables: row u of ``var_adj`` lists
-the checks of variable u in ascending order padded with the id
-``n_checks``, and row c of ``chk_adj`` lists the variables of check c
-padded with ``n_vars``.  Each table has one more all-sentinel row.
-Neighbor lists are the first degree-many entries of a row.  Breadth-first
-search runs in two level-synchronous loops over these tables, and each
-label array or mask keeps one extra slot for the sentinel, which is
-always marked as seen.
+Graphs are immutable after construction.  A graph is its adjacency in
+one layout, two sentinel-padded tables: row u of ``var_adj`` lists the
+checks of variable u in ascending order padded with the id ``n_checks``,
+and row c of ``chk_adj`` lists the variables of check c padded with
+``n_vars``.  Each table has one more all-sentinel row.  Neighbor lists
+are the first degree-many entries of a row.  The tables, the degree
+arrays and the derived tables below are read-only; the graph keeps no
+edge list, and `TannerGraph.edges` derives the canonical one from
+``chk_adj``.  Breadth-first search runs in two level-synchronous loops
+over these tables, and each label array or mask keeps one extra slot
+for the sentinel, which is always marked as seen.
 
 `sample_graph_with_attempts` draws configuration-model matchings until
-one is simple.  What an ensemble fixes is set up once per ensemble and
-shared, read-only, by all its samples: the degrees, and the sorted check
-sockets, which each attempt shuffles and which are every sample's
-``edge_chk``.  An accepted matching is turned into tables by two sorts
-and the step that the constructor also ends with, without the
-constructor's checks, which such a matching passes by construction.  On
-a 2-core Xeon host this cut the set-up and build of one (3,4) sample at
-N=900 from 130 to 50 us, next to about 500 us of shuffling.
+one is simple.  An ensemble is realized once, into its spec's read-only
+degree arrays, and every sample shares exactly these two arrays: each
+sample's ``var_degrees`` is its spec's ``var_degrees``, and likewise for
+the checks.  The variable and check sockets are built per call from
+them.  An accepted matching is turned into tables by two sorts and the
+step that the constructor also ends with, without the constructor's
+checks, which such a matching passes by construction.  On a 2-core Xeon
+host this cut the set-up and build of one (3,4) sample at N=900 from 130
+to 50 us, next to about 500 us of shuffling.
 
 The decoders in `bp` run on the same tables transposed, the check-column
 layout: row j of ``chk_adj.T`` holds the j-th variable of every check, so
@@ -60,13 +62,13 @@ queries label few nodes.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import inf
 
 import numpy as np
 
 from ._util import at_least, node_count
-from .degrees import EnsembleSpec, realize_degree_sequences
+from .degrees import EnsembleSpec
 from .errors import ConstructionError, InvalidSpecError, SamplingFailureError
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -113,30 +115,27 @@ class TannerGraph:
         edge_chk, edge_var = np.divmod(key, n_vars)
         # Sorting the unique (var, check) keys lists each variable's checks.
         by_var = np.sort(edge_var * n_checks + edge_chk) % n_checks
-        self._set_tables(n_vars, n_checks, edge_var, edge_chk, by_var,
+        self._set_tables(n_vars, n_checks, edge_var, by_var,
                          np.bincount(edge_var, minlength=n_vars),
                          np.bincount(edge_chk, minlength=n_checks))
 
-    def _set_tables(self, n_vars: int, n_checks: int, edge_var: np.ndarray,
-                    edge_chk: np.ndarray, by_var: np.ndarray, var_deg: np.ndarray,
-                    chk_deg: np.ndarray):
-        """Set every field from a valid, simple edge set: the canonical edge
-        list, each variable's checks variable by variable in ascending order,
-        and the degrees.  Canonical order lists each check's variables in
-        ascending order, so ``edge_var`` fills ``chk_adj``.  The edge list
-        and the degrees are made read-only, as the samples of an ensemble
-        share some of them."""
-        for shared in (edge_var, edge_chk, var_deg, chk_deg):
-            shared.flags.writeable = False
-        self.n_vars = n_vars
-        self.n_checks = n_checks
-        self.edge_var = edge_var
-        self.edge_chk = edge_chk
-        self.n_edges = int(edge_var.size)
-        self.var_degrees = var_deg
-        self.check_degrees = chk_deg
-        self.var_adj = _pad_rows(var_deg, by_var, n_checks)
-        self.chk_adj = _pad_rows(chk_deg, edge_var, n_vars)
+    def _set_tables(self, n_vars: int, n_checks: int, by_chk: np.ndarray,
+                    by_var: np.ndarray, var_deg: np.ndarray, chk_deg: np.ndarray):
+        """Set every field from a valid, simple edge set: each check's
+        variables check by check (the variables of the canonical edge list),
+        each variable's checks variable by variable, both in ascending
+        order, and the degrees.  Every field is read-only, and so is every
+        array; the samples of an ensemble share its degrees."""
+        var_adj = _pad_rows(var_deg, by_var, n_checks)
+        chk_adj = _pad_rows(chk_deg, by_chk, n_vars)
+        for table in (var_deg, chk_deg, var_adj, chk_adj):
+            table.flags.writeable = False
+        vars(self).update(n_vars=n_vars, n_checks=n_checks, n_edges=int(by_chk.size),
+                          var_degrees=var_deg, check_degrees=chk_deg,
+                          var_adj=var_adj, chk_adj=chk_adj)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TannerGraph is read-only: cannot set {name!r}")
 
     # -- basic accessors -------------------------------------------------
 
@@ -153,8 +152,11 @@ class TannerGraph:
         return self.chk_adj[c, :self.check_degrees[c]]
 
     def edges(self) -> np.ndarray:
-        """Canonical (var, check) edge array, shape (E, 2)."""
-        return np.column_stack([self.edge_var, self.edge_chk])
+        """Canonical (var, check) edge array, shape (E, 2), sorted on
+        (check, variable): the entries of ``chk_adj`` row by row."""
+        table = self.chk_adj[:-1]
+        return np.column_stack([table[table < self.n_vars],
+                                np.repeat(np.arange(self.n_checks), self.check_degrees)])
 
     # -- the check-column layout (built on first use) ---------------------
 
@@ -171,10 +173,11 @@ class TannerGraph:
         Padding points at slot ``n_checks``, row 0 of the sentinel column."""
         # Canonical edge e sits in column edge_chk[e], at its position
         # within that check's edges.
+        edge_var, edge_chk = self.edges().T
         starts = np.cumsum(self.check_degrees) - self.check_degrees
-        position = np.arange(self.n_edges) - starts[self.edge_chk]
-        flat = position * (self.n_checks + 1) + self.edge_chk
-        by_var = np.argsort(self.edge_var * self.n_checks + self.edge_chk)
+        position = np.arange(self.n_edges) - starts[edge_chk]
+        flat = position * (self.n_checks + 1) + edge_chk
+        by_var = np.argsort(edge_var * self.n_checks + edge_chk)
         slots = _pad_rows(self.var_degrees, flat[by_var], self.n_checks)
         return _read_only(slots[:-1].T)
 
@@ -184,8 +187,7 @@ class TannerGraph:
         return (
             self.n_vars == other.n_vars
             and self.n_checks == other.n_checks
-            and np.array_equal(self.edge_var, other.edge_var)
-            and np.array_equal(self.edge_chk, other.edge_chk)
+            and np.array_equal(self.chk_adj, other.chk_adj)
         )
 
     def __hash__(self):
@@ -332,37 +334,24 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
 # -- configuration-model sampling ----------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _sockets(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What an ensemble fixes for its sampler: the degrees and the sorted
-    check sockets, read-only.  Keyed on the spec's value: equal specs
-    realize equal degrees."""
-    var_deg, chk_deg = realize_degree_sequences(spec)
-    chk_sockets = np.repeat(np.arange(spec.n_checks, dtype=np.int64), chk_deg)
-    for shared in (var_deg, chk_deg, chk_sockets):
-        shared.flags.writeable = False
-    return var_deg, chk_deg, chk_sockets
-
-
-def _from_matching(spec: EnsembleSpec, sockets: tuple, var_sockets: np.ndarray,
+def _from_matching(spec: EnsembleSpec, var_sockets: np.ndarray, chk_sockets: np.ndarray,
                    matched: np.ndarray) -> TannerGraph:
-    """The graph of a simple matching of ``spec``'s ``sockets``: socket i
-    joins ``var_sockets[i]`` to ``matched[i]``."""
+    """The graph of a simple matching of ``spec``'s sorted sockets: socket
+    i joins ``var_sockets[i]`` to ``matched[i]``."""
     n, m = spec.n_vars, spec.n_checks
-    var_deg, chk_deg, chk_sockets = sockets
     # Canonical order sorts on (check, variable), so its checks are the
     # sorted check sockets, and each key minus its check's part is the
     # variable.  Sorting on (variable, check) lists each variable's checks.
-    edge_var = matched * n
-    edge_var += var_sockets
-    edge_var.sort()
-    edge_var -= chk_sockets * n
+    by_chk = matched * n
+    by_chk += var_sockets
+    by_chk.sort()
+    by_chk -= chk_sockets * n
     var_part = var_sockets * m
     by_var = var_part + matched
     by_var.sort()
     by_var -= var_part
     g = TannerGraph.__new__(TannerGraph)
-    g._set_tables(n, m, edge_var, chk_sockets, by_var, var_deg, chk_deg)
+    g._set_tables(n, m, by_chk, by_var, spec.var_degrees, spec.check_degrees)
     return g
 
 
@@ -379,16 +368,14 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     fewer than the largest variable degree apart in the sorted socket
     list, so each attempt compares the matched checks at those offsets
     only, in O(E * max degree) and without a sort, into one reused
-    buffer.  The set-up that the spec fixes is cached for the last few
-    specs, and the accepted graph is built from its matching (see the
-    module docstring).
+    buffer.  The sockets are built from the spec's degrees per call, and
+    the accepted graph is built from its matching (see the module
+    docstring).
     """
     max_attempts = at_least(max_attempts, "max_attempts", 1)
-    sockets = _sockets(spec)
-    var_deg, _, chk_sockets = sockets
-    # Made per call: kept in the cache, these arrays would add their O(E)
-    # bytes to the peak memory of every later step.
+    var_deg = spec.var_degrees
     var_sockets = np.repeat(np.arange(spec.n_vars, dtype=np.int64), var_deg)
+    chk_sockets = np.repeat(np.arange(spec.n_checks, dtype=np.int64), spec.check_degrees)
     same_var = [var_sockets[:-k] == var_sockets[k:]
                 for k in range(1, int(var_deg.max(initial=0)))]
     rng = np.random.default_rng(seed)
@@ -406,7 +393,7 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
             if np.count_nonzero(hit):
                 break
         else:
-            return _from_matching(spec, sockets, var_sockets, matched), attempt
+            return _from_matching(spec, var_sockets, chk_sockets, matched), attempt
     raise SamplingFailureError(
         f"no simple configuration found in {max_attempts} attempts", attempts=max_attempts
     )

@@ -43,7 +43,7 @@ def erasure_bp_reference(g, erased, iterations):
     incoming variable message is known.  ``erased`` is one trial's bool
     vector; returns ``iterations + 1`` bool arrays.
     """
-    edges = list(zip(g.edge_var.tolist(), g.edge_chk.tolist()))
+    edges = [tuple(e) for e in g.edges().tolist()]
     var_edges = [[] for _ in range(g.n_vars)]
     chk_edges = [[] for _ in range(g.n_checks)]
     for e, (v, c) in enumerate(edges):

@@ -247,11 +247,11 @@ def _reference_scatter(values, index, size):
 
 
 def reference_marginals(g, llr, c2v):
-    return _reference_scatter(c2v, g.edge_var, g.n_vars) + llr
+    return _reference_scatter(c2v, g.edges()[:, 0], g.n_vars) + llr
 
 
 def reference_c2v(g, v2c):
-    ec = g.edge_chk
+    ec = g.edges()[:, 1]
     negative = v2c < 0.0
     t = np.tanh(np.minimum(np.abs(v2c), LLR_CLAMP) / 2.0)
     zero = t == 0.0
@@ -278,7 +278,7 @@ def reference_float_bp(g, llr, iterations):
     c2v = np.zeros(g.n_edges)
     yield reference_marginals(g, llr, c2v)
     for _ in range(iterations):
-        c2v = reference_c2v(g, reference_marginals(g, llr, c2v)[g.edge_var] - c2v)
+        c2v = reference_c2v(g, reference_marginals(g, llr, c2v)[g.edges()[:, 0]] - c2v)
         yield reference_marginals(g, llr, c2v)
 
 

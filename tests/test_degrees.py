@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpcbounds import (DegreeDistribution, EnsembleSpec, InvalidDistributionError,
-                        InvalidSpecError, de_bec, ga_awgn, realize_degree_sequences,
-                        tail_distribution, weight_recursion)
+                        InvalidSpecError, de_bec, ga_awgn, tail_distribution,
+                        weight_recursion)
 
 
 class TestDegreeDistribution:
@@ -35,6 +37,15 @@ class TestDegreeDistribution:
     def test_evaluate_conventions(self):
         node = DegreeDistribution({2: 0.25, 3: 0.75})
         assert node.evaluate(2.0) == pytest.approx(0.25 * 4 + 0.75 * 8)
+
+    @pytest.mark.parametrize("name", ["terms", "edge_terms"])
+    def test_terms_are_read_only(self, name):
+        # A write after the checks ran would leave the terms summing to 1.4
+        # while the cached edge terms kept the old law.
+        d = DegreeDistribution({2: 0.5, 3: 0.5})
+        with pytest.raises(TypeError):
+            getattr(d, name)[2] = 0.9
+        assert d.terms == {2: 0.5, 3: 0.5} and d.edge_terms == {2: 0.4, 3: 0.6}
 
 
 class TestEdgePerspective:
@@ -94,6 +105,22 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError):
             EnsembleSpec(8, DegreeDistribution.regular(2), DegreeDistribution({1: 1.0}))
 
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_round_trip(self, clone):
+        spec = EnsembleSpec(300, DegreeDistribution.from_edge({2: 0.4, 3: 0.6}),
+                            DegreeDistribution({5: 0.5, 6: 0.5}))
+        dist = clone(spec.var_dist)
+        assert dist == spec.var_dist and hash(dist) == hash(spec.var_dist)
+        assert dist.edge_terms == spec.var_dist.edge_terms
+        got = clone(spec)
+        assert got == spec and hash(got) == hash(spec)
+        for name in ("var_degrees", "check_degrees"):
+            degrees = getattr(got, name)
+            assert np.array_equal(degrees, getattr(spec, name))
+            with pytest.raises(ValueError, match="read-only"):
+                degrees[0] = 1
+
     def test_unbalanceable_sockets_rejected(self):
         with pytest.raises(InvalidSpecError):
             EnsembleSpec(5, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
@@ -111,7 +138,7 @@ class TestEnsembleSpec:
 
 class TestRealizeDegreeSequences:
     def test_regular(self, spec34_900):
-        vd, cd = realize_degree_sequences(spec34_900)
+        vd, cd = spec34_900.var_degrees, spec34_900.check_degrees
         assert (vd == 3).all() and vd.size == 900
         assert (cd == 4).all() and cd.size == 675
 
@@ -122,7 +149,7 @@ class TestRealizeDegreeSequences:
         rho = DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877})
         spec = EnsembleSpec(20000, lam, rho)
         assert spec.n_checks == 10000
-        vd, cd = realize_degree_sequences(spec)
+        vd, cd = spec.var_degrees, spec.check_degrees
         assert vd.size == 20000 and cd.size == 10000
         assert vd.sum() == cd.sum()
 
@@ -134,7 +161,7 @@ class TestRealizeDegreeSequences:
             spec = EnsembleSpec(n, var, DegreeDistribution({k: 0.5, k + 1: 0.5}))
         except InvalidSpecError:
             return
-        vd, cd = realize_degree_sequences(spec)
+        vd, cd = spec.var_degrees, spec.check_degrees
         assert vd.size == spec.n_vars and cd.size == spec.n_checks
         assert vd.sum() == cd.sum()
         assert set(np.unique(vd)) <= {2, 3}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, sample_graph, \
     save_alist
+from ldpcbounds._util import fmt_number
 from ldpcbounds.cli import _build_parser, main
 from ldpcbounds.experiments import (_CHANNELS, _ENSEMBLE_KEYS, CSV_HEADERS,
                                     ExperimentConfig, build_channel, build_spec, run,
@@ -315,6 +316,12 @@ class TestDeterminism:
             assert m1["outputs"][name]["sha256"] == m2["outputs"][name]["sha256"]
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert m1["config_hash"] == m2["config_hash"]
+
+    @pytest.mark.parametrize("value, cell", [(True, "1"), (False, "0"),
+                                             (np.bool_(True), "1"), (np.bool_(False), "0")])
+    def test_bool_cells(self, value, cell):
+        # A bool takes the int branch and np.bool_ the float branch.
+        assert fmt_number(value) == cell
 
 
 class TestCli:

@@ -79,6 +79,14 @@ class TestWeightRecursion:
         with pytest.raises(ValueError):
             weight_recursion(X3, X4, 1000, 0, 0.99)
 
+    @pytest.mark.parametrize("theta1", [0.0, 1.0, 5.0])
+    def test_rejects_theta1_outside_unit_interval(self, theta1):
+        # theta1 = 5 made l1 = 10.2 and took the below-threshold branch.
+        with pytest.raises(ValueError, match="theta1"):
+            weight_recursion(X3, X4, 1000, 3, theta1=theta1)
+        with pytest.raises(ValueError, match="theta1"):
+            irregular_lower_bound(Bec(0.5), X3, X4, 1000, 3, theta1=theta1)
+
     @settings(max_examples=40, deadline=None)
     @given(degree_dist_strategy(),
            st.dictionaries(st.integers(3, 9), st.integers(1, 9), min_size=1,

@@ -363,7 +363,7 @@ class TestOneIntegerRule:
         # through ``np.random.default_rng``.
         seed, n, depth, pairs, l = (cast(x) for x in (3, 2, 4, 5, 1))
         g = sample_graph(SPEC_40, seed)
-        assert _digest(g.edge_var, g.edge_chk) == "6751784ddb5d4276"
+        assert _digest(*g.edges().T) == "6751784ddb5d4276"
         assert _digest(*bfs_distances(g, 0, max_depth=depth)) == "47211a7c902d7e8e"
         llr = transmit(np.zeros(40, np.int8), Bec(0.3), seed)
         assert _digest(llr) == "d5c648329e278862"

@@ -3,7 +3,6 @@ import math
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from hypothesis import strategies as st
 
 from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
                         InvalidSpecError, SamplingFailureError, TannerGraph,
-                        distance, girth, peg_construct, sample_graph,
-                        sample_graph_with_attempts, window)
-from ldpcbounds.degrees import realize_degree_sequences
+                        distance, girth, load_alist, peg_construct, save_alist,
+                        sample_graph, sample_graph_with_attempts, window)
 from ldpcbounds.tanner import bfs_distances
 
 
@@ -82,20 +80,19 @@ def reference_sample(var_degrees, check_degrees, seed, max_attempts):
 
 
 class DegreeSpec:
-    """Stand-in ensemble for `sample_from_degrees`.  Hashed by identity, so
-    every stand-in gets its own sampler set-up."""
+    """Stand-in ensemble for `sample_from_degrees`: the fields of an
+    `EnsembleSpec` that the sampler reads, on given degree sequences."""
 
-    def __init__(self, n_vars, n_checks):
-        self.n_vars, self.n_checks = n_vars, n_checks
+    def __init__(self, var_degrees, check_degrees):
+        self.var_degrees = np.array(var_degrees, dtype=np.int64)
+        self.check_degrees = np.array(check_degrees, dtype=np.int64)
+        self.n_vars, self.n_checks = self.var_degrees.size, self.check_degrees.size
 
 
 def sample_from_degrees(var_degrees, check_degrees, seed, max_attempts):
     """`sample_graph_with_attempts` on given degree sequences."""
-    spec = DegreeSpec(len(var_degrees), len(check_degrees))
-    with mock.patch("ldpcbounds.tanner.realize_degree_sequences",
-                    return_value=(np.array(var_degrees, dtype=np.int64),
-                                  np.array(check_degrees, dtype=np.int64))):
-        return sample_graph_with_attempts(spec, seed, max_attempts)
+    return sample_graph_with_attempts(DegreeSpec(var_degrees, check_degrees), seed,
+                                      max_attempts)
 
 
 def reference_peg(n_vars, var_degrees, n_checks):
@@ -249,17 +246,30 @@ class TestTannerGraph:
         b = TannerGraph(3, 2, [(2, 0), (0, 0), (1, 1)])
         assert a == b
 
-    @pytest.mark.parametrize("name", ["edge_var", "edge_chk"])
-    @pytest.mark.parametrize("built", ["constructed", "sampled"])
-    def test_edge_list_is_read_only(self, built, name):
-        # A sampled graph shares its edge_chk with the other samples of its
-        # ensemble; a constructed one must behave the same.
-        g = sample_graph(EnsembleSpec(60, DegreeDistribution.regular(3),
-                                      DegreeDistribution.regular(4)), 1)
+    @pytest.mark.parametrize("name", ["var_adj", "chk_adj", "var_degrees",
+                                      "check_degrees"])
+    @pytest.mark.parametrize("built", ["constructed", "peg", "alist", "sampled"])
+    def test_tables_are_read_only(self, built, name, tmp_path):
+        # A sampled graph shares its degree arrays with its spec and the
+        # other samples of its ensemble; every graph must behave the same.
+        spec = EnsembleSpec(60, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+        g = sample_graph(spec, 1)
         if built == "constructed":
             g = TannerGraph(g.n_vars, g.n_checks, g.edges())
+        elif built == "peg":
+            g = peg_construct(spec.n_vars, spec.var_degrees, spec.n_checks)
+        elif built == "alist":
+            save_alist(g, tmp_path / "g.alist")
+            g = load_alist(tmp_path / "g.alist")
         with pytest.raises(ValueError, match="read-only"):
             getattr(g, name)[0] = 1
+
+    @pytest.mark.parametrize("name", ["n_vars", "n_checks", "n_edges", "var_adj", "chk_adj",
+                                      "var_degrees", "check_degrees"])
+    def test_fields_cannot_be_rebound(self, tree_graph, name):
+        # A rebound n_vars would no longer match the sentinel of chk_adj.
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(tree_graph, name, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(small_graphs(), st.randoms(use_true_random=False))
@@ -281,6 +291,13 @@ class TestSampling:
         assert g.n_vars == 8 and g.n_checks == 6 and g.n_edges == 24
         assert (g.var_degrees == 3).all()
         assert (g.check_degrees == 4).all()
+
+    def test_samples_share_the_spec_degrees(self):
+        spec = EnsembleSpec(8, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+        for seed in (5, 6):
+            g = sample_graph(spec, seed)
+            assert g.var_degrees is spec.var_degrees
+            assert g.check_degrees is spec.check_degrees
 
     def test_deterministic_per_seed(self, spec34_900):
         assert sample_graph(spec34_900, 123) == sample_graph(spec34_900, 123)
@@ -331,19 +348,18 @@ class TestSampling:
             return
         want = TannerGraph(g.n_vars, g.n_checks, g.edges())
         assert (g.n_vars, g.n_checks, g.n_edges) == (want.n_vars, want.n_checks, want.n_edges)
-        for name in ("edge_var", "edge_chk", "var_adj", "chk_adj", "var_degrees",
-                     "check_degrees"):
+        for name in ("var_adj", "chk_adj", "var_degrees", "check_degrees"):
             got, expected = getattr(g, name), getattr(want, name)
             assert got.dtype == expected.dtype, name
             assert got.shape == expected.shape, name
             assert np.array_equal(got, expected), name
 
     def test_threads_share_one_spec(self):
-        # The threads share the spec's cached set-up, which one of them
-        # builds; every graph must still be the reference sampler's.
+        # The threads share the spec's read-only degree arrays; every graph
+        # must still be the reference sampler's.
         spec = EnsembleSpec(301, DegreeDistribution({2: 0.5, 3: 0.3, 5: 0.2}),
                             DegreeDistribution({4: 0.5, 6: 0.5}))
-        var, chk = realize_degree_sequences(spec)
+        var, chk = spec.var_degrees, spec.check_degrees
         want = [reference_sample(var, chk, seed, 10_000)[0] for seed in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -378,7 +394,7 @@ class TestSampling:
     def test_ensembles_match_sort_based_sampler(self, var_dist, check_dist, n_vars):
         spec = EnsembleSpec(n_vars, DegreeDistribution(var_dist),
                             DegreeDistribution(check_dist))
-        var, chk = realize_degree_sequences(spec)
+        var, chk = spec.var_degrees, spec.check_degrees
         for seed in range(3):
             got_graph, got_attempts = sample_graph_with_attempts(spec, seed)
             want_graph, want_attempts = reference_sample(var, chk, seed, 10_000)
