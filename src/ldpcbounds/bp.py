@@ -14,9 +14,9 @@ message and marginal stays finite; a check with no other input sends
 
 Messages live in the check-column layout of ``TannerGraph.chk_cols``: a
 ``(w, n_checks + 1)`` array whose slot (j, c) holds the j-th edge of
-check c, w being the largest check degree.  A per-check sum is then a
-loop over w contiguous rows, and the result broadcasts back over the
-rows.  Padding slots, and the sentinel column, read the marginal +inf
+check c, w being the largest check degree.  A per-check sum is then one
+``reduce`` over axis 0, and the result broadcasts back over the rows.
+Padding slots, and the sentinel column, read the marginal +inf
 of the sentinel variable, so their variable-to-check message is +inf:
 tanh gives 1, log gives 0, and the slot counts as neither zero nor
 negative.  A marginal gathers its check messages through
@@ -28,7 +28,16 @@ row, in edge order, starting from 0.0; each variable adds its check
 messages in ascending check order, starting from 0.0, and then the
 channel LLR.  This is the order of a ``bincount`` over the canonical
 edge list, so the float results are those of the edge-ordered kernel
-that this layout replaced, bit for bit.
+that this layout replaced, bit for bit.  numpy's axis-0 ``add.reduce``
+keeps that row order only while the other axis has length 2 or more;
+``chk_cols`` always has the sentinel column besides a real one.
+
+An iteration is a fixed list of whole-array passes: one gather of
+variable-to-check messages, one subtraction, the check update (whose
+passes, and why each is exact, ``_check_update`` lists) and one gather
+and one sum for the marginals.  ``float_bp`` gathers into one v2c buffer
+and writes the check update into one c2v buffer, both reused for every
+iteration; each marginal array it yields is new.
 
 On the erasure channel every message is either erased or certainly
 right, so the same flooding schedule reduces to erasure counting
@@ -48,60 +57,74 @@ from ._util import at_least
 from .tanner import TannerGraph
 
 LLR_CLAMP = 50.0
+_TIMES_TWO = np.array([2.0, -2.0])  # indexed by a message's sign flip
 
 
 # -- the kernel, in the check-column layout ---------------------------------
 
 
 def _marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
-    """Posterior LLRs from check-column messages, plus the sentinel's +inf."""
-    marginals = np.zeros(g.n_vars + 1)
-    total = marginals[:-1]
-    flat = c2v.reshape(-1)
-    for slots in g.var_slots:
-        total += flat.take(slots)
+    """Posterior LLRs from check-column messages, plus the sentinel's +inf:
+    one gather of every variable's check messages, one sum over its rows."""
+    marginals = np.empty(g.n_vars + 1)
+    # A reduce over axis 0 adds row by row while there are two or more
+    # columns.  One column means n_vars == 1: every check then has degree
+    # 1 and sends +50, and any order of those sums gives the same bits.
+    total = np.add.reduce(c2v.reshape(-1).take(g.var_slots), axis=0, initial=0.0,
+                          out=marginals[:-1])
     total += llr
     marginals[-1] = np.inf
     return marginals
 
 
-def _check_update(v2c: np.ndarray) -> np.ndarray:
-    """Check-to-variable messages from check-column messages: the
-    extrinsic tanh-half product rule, in place on one buffer after the
-    first ``abs``.
+def _check_update(v2c: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the check-to-variable messages for the
+    check-column messages ``v2c``: the extrinsic tanh-half product rule.
+    ``v2c`` is spent as scratch space.
 
     Any zero extrinsic input forces a zero output; every other case is
     2*atanh of the product of tanh(|m|/2), capped at the clamp.  An input
     counts as zero when tanh(|m|/2) is, which also catches the smallest
     subnormals.
+
+    The passes, and why each gives the bits of the plain rule:
+
+    - tanh(|m| * 0.5) in place, without the clamp before it: tanh(y) is
+      exactly 1.0 for every y >= 19, so min(|m|, 50) / 2 and |m| / 2 give
+      the same tanh.  Multiplying by 0.5 is dividing by 2.
+    - The zero mask, the 1.0 put in for log and the final zeroing are
+      made only when some tanh is 0.
+    - log, then per-check sums: ``add.reduce`` over axis 0 from 0.0 adds
+      the rows in edge order, as the plain loop does; ``logical_xor``
+      gives the parity of negative inputs.
+    - The extrinsic sum, exp, the cap at 1 and arctanh, in ``out``.
+    - min(a, 25) times +2 or -2, the factor taken by the sign flip from a
+      two-entry table: 2 * min(a, 25) is min(2a, 50), and a * -2 is
+      -(2a), bit for bit and -0.0 included.  A masked negation would
+      give the same bits, but a masked ufunc runs its inner loop once per
+      run of True values in the mask.
     """
     negative = v2c < 0.0
-    t = np.abs(v2c)
-    np.minimum(t, LLR_CLAMP, out=t)
-    t *= 0.5  # the same bits as t / 2, and faster
+    t = np.abs(v2c, out=v2c)
+    t *= 0.5
     np.tanh(t, out=t)
-    zero = t == 0.0
-    np.copyto(t, 1.0, where=zero)
+    any_zero = t.min() == 0.0
+    if any_zero:
+        zero = t == 0.0
+        np.copyto(t, 1.0, where=zero)
     log_t = np.log(t, out=t)
+    log_sum = np.add.reduce(log_t, axis=0, initial=0.0)
+    flip = np.logical_xor(np.logical_xor.reduce(negative, axis=0), negative, out=negative)
 
-    log_sum = np.zeros(v2c.shape[1])
-    zeros = np.zeros(v2c.shape[1], dtype=np.min_scalar_type(len(v2c)))
-    odd = np.zeros(v2c.shape[1], dtype=bool)
-    for row_log, row_zero, row_negative in zip(log_t, zero, negative):
-        log_sum += row_log
-        zeros += row_zero
-        odd ^= row_negative
-
-    out = np.subtract(log_sum, log_t, out=log_t)  # the extrinsic log sums
+    np.subtract(log_sum, log_t, out=out)  # the extrinsic log sums
     np.exp(out, out=out)
     np.minimum(out, 1.0, out=out)
     with np.errstate(divide="ignore"):  # arctanh(1) is inf before the cap
         np.arctanh(out, out=out)
-    out *= 2.0
-    np.minimum(out, LLR_CLAMP, out=out)
-    np.negative(out, out=out, where=odd ^ negative)
-    np.copyto(out, 0.0, where=zeros > zero)
-    return out
+    np.minimum(out, LLR_CLAMP / 2, out=out)
+    out *= _TIMES_TWO.take(flip, out=v2c, mode="clip")
+    if any_zero:
+        np.copyto(out, 0.0, where=zero.sum(axis=0) > zero)
 
 
 def float_bp(g: TannerGraph, llr, iterations: int):
@@ -117,12 +140,14 @@ def float_bp(g: TannerGraph, llr, iterations: int):
         raise ValueError(f"llr must have length {g.n_vars}")
     require_finite(llr)
     c2v = np.zeros(g.chk_cols.shape)
+    v2c = np.empty(g.chk_cols.shape)
     marginals = _marginals(g, llr, c2v)
     yield marginals[:-1]
     for _ in range(iterations):
-        v2c = marginals.take(g.chk_cols)
+        # Every index is in range; "clip" lets take write to out unbuffered.
+        marginals.take(g.chk_cols, out=v2c, mode="clip")
         v2c -= c2v
-        c2v = _check_update(v2c)
+        _check_update(v2c, c2v)
         c2v[0, -1] = 0.0  # the slot that the marginals' padding reads
         marginals = _marginals(g, llr, c2v)
         yield marginals[:-1]

@@ -137,6 +137,11 @@ class TannerGraph:
     def __setattr__(self, name, value):
         raise AttributeError(f"TannerGraph is read-only: cannot set {name!r}")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild the graph from its edges, so their
+        # tables are read-only too; a copy of the tables would be writable.
+        return type(self), (self.n_vars, self.n_checks, self.edges())
+
     # -- basic accessors -------------------------------------------------
 
     def var_neighbors(self, v: int) -> np.ndarray:

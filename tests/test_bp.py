@@ -90,6 +90,15 @@ class TestC2vUpdate:
         assert got.tolist() == [message + LLR_CLAMP]
 
 
+@pytest.mark.parametrize("y", [19.0, 25.0, 1e3, 1e300, np.finfo(float).max, np.inf])
+def test_tanh_is_one_from_19(y):
+    # The check kernel takes tanh(|m| / 2) with no clamp before it; that is
+    # tanh(min(|m|, 50) / 2) only because tanh is exactly 1.0 from 19 on,
+    # in numpy's scalar loop and in its array loop alike.
+    assert np.tanh(y) == 1.0
+    assert (np.tanh(np.full(67, y)) == 1.0).all()
+
+
 class TestDecode:
     def test_zero_iterations_is_channel_decision(self, tree_graph):
         llr = np.array([1.0, -1.0, 2.0, -0.5, 1, 1, 1, 1, 1, 1], dtype=float)
@@ -339,6 +348,19 @@ class TestMatchesEdgeReference:
         llr = np.where(np.arange(degree) % 3 == 0, -0.7, 1.3)
         llr[:n_zero] = 0.0
         assert_matches_edge_reference(g, llr, 3)
+
+    @pytest.mark.parametrize("degree", [16, 40, 300])
+    def test_one_check_sums_rows_in_order(self, degree):
+        # chk_cols is (degree, 2): the check's column and the sentinel's.
+        # numpy's axis-0 reduce adds the rows in order while the other axis
+        # has length 2 or more; over one column it sums pairwise, which
+        # gives other marginals for these LLRs at every degree here.  LLRs
+        # near log(2 * degree) keep each extrinsic product near 1/e, so an
+        # ulp of a check's log sum is not lost in the marginals.
+        g = star_check(degree)
+        assert g.chk_cols.shape == (degree, 2)
+        llr = math.log(2 * degree) + np.random.default_rng(1).normal(0.0, 1.0, degree)
+        assert_matches_edge_reference(g, llr, 2)
 
     @pytest.mark.parametrize("channel", [Bsc(0.06), Biawgn(0.8)], ids=["bsc", "awgn"])
     def test_irregular_figure6_degrees(self, channel):

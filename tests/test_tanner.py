@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -263,6 +265,25 @@ class TestTannerGraph:
             g = load_alist(tmp_path / "g.alist")
         with pytest.raises(ValueError, match="read-only"):
             getattr(g, name)[0] = 1
+
+    @pytest.mark.parametrize("copy_graph", [
+        copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("built", ["constructed", "sampled"])
+    def test_copies_stay_read_only(self, built, copy_graph):
+        # A copy of the tables would be writable, and a write through it
+        # would change what check_neighbors reads.
+        spec = EnsembleSpec(60, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+        g = sample_graph(spec, 1)
+        if built == "constructed":
+            g = TannerGraph(g.n_vars, g.n_checks, g.edges())
+        h = copy_graph(g)
+        assert h == g
+        assert np.array_equal(h.var_adj, g.var_adj)
+        for name in ["var_adj", "chk_adj", "var_degrees", "check_degrees"]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(h, name)[0] = 2
+        assert h.check_neighbors(0).tolist() == g.check_neighbors(0).tolist()
 
     @pytest.mark.parametrize("name", ["n_vars", "n_checks", "n_edges", "var_adj", "chk_adj",
                                       "var_degrees", "check_degrees"])
