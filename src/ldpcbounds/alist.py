@@ -3,8 +3,9 @@
 Layout: line 1 is ``N M``; line 2 the maximum variable and check degrees;
 lines 3 and 4 the per-variable and per-check degrees; then N adjacency
 lines of 1-indexed check ids and M adjacency lines of 1-indexed variable
-ids.  Adjacency lines are zero-padded to the maximum degree; zeros are
-ignored on input.
+ids.  Adjacency lines are zero-padded to the maximum degree, or to one
+entry where that is 0, so that no line is blank; zeros are ignored on
+input.
 """
 
 from __future__ import annotations
@@ -104,21 +105,22 @@ def save_alist(g: TannerGraph, path: str | os.PathLike) -> None:
     """Write the canonical zero-padded alist representation of a graph."""
     var_degs = g.var_degrees
     chk_degs = g.check_degrees
-    max_v = int(var_degs.max()) if g.n_vars else 0
-    max_c = int(chk_degs.max()) if g.n_checks else 0
+    max_v = int(var_degs.max())
+    max_c = int(chk_degs.max())
     lines = [
         f"{g.n_vars} {g.n_checks}",
         f"{max_v} {max_c}",
         " ".join(str(int(d)) for d in var_degs),
         " ".join(str(int(d)) for d in chk_degs),
     ]
+    # At least one entry per row: the loader skips blank lines.
     for v in range(g.n_vars):
         row = [int(c) + 1 for c in g.var_neighbors(v)]
-        row += [0] * (max_v - len(row))
+        row += [0] * (max(max_v, 1) - len(row))
         lines.append(" ".join(map(str, row)))
     for c in range(g.n_checks):
         row = [int(v) + 1 for v in g.check_neighbors(c)]
-        row += [0] * (max_c - len(row))
+        row += [0] * (max(max_c, 1) - len(row))
         lines.append(" ".join(map(str, row)))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

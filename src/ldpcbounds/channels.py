@@ -36,7 +36,7 @@ from .density_evolution import DeTrace, de_bec, ga_awgn, q_function
 
 def _weight(weight: float) -> float:
     """The weight of a channel bound, which must be >= 0."""
-    if weight < 0:
+    if not weight >= 0:  # NaN fails this test too
         raise ValueError(f"weight must be >= 0, got {weight!r}")
     return weight
 

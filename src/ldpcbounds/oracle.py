@@ -198,12 +198,12 @@ def min_weight_root_one(sys: Gf2System) -> int | None:
 
 
 def _verify_solution(sys: Gf2System, vec: int) -> None:
-    assert (vec >> sys.root_local) & 1 == 1
+    # Explicit raises rather than assert statements, which ``python -O`` strips.
+    if not (vec >> sys.root_local) & 1:
+        raise AssertionError("enumerated solution does not set the root")
     for row in sys.rows:
-        parity = 0
-        for i in row:
-            parity ^= (vec >> i) & 1
-        assert parity == 0, "enumerated solution violates a parity row"
+        if sum((vec >> i) & 1 for i in row) % 2:
+            raise AssertionError("enumerated solution violates a parity row")
 
 
 # -- structured low-weight subtree ----------------------------------------

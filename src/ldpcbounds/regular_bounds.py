@@ -195,14 +195,20 @@ def lentmaier_upper(j: int, iterations: int, a0: float) -> float:
         raise ValueError("a0 must be positive")
     if j < 3:
         raise ValueError("variable degree must be >= 3")
-    return float(2.0 ** (-(a0 * (j - 1) ** iterations)))
+    try:
+        return float(2.0 ** (-(a0 * (j - 1) ** iterations)))
+    except OverflowError:  # (j-1)**l is beyond a float; 2**-x is 0.0 from x > 1075 on
+        return 0.0
 
 
 def lentmaier_fit_a0(j: int, anchor_iterations: int, anchor_p: float) -> float:
     """a0 that makes the upper-bound form pass through (l, p) at the anchor."""
     if not 0.0 < anchor_p < 1.0:
         raise ValueError("anchor probability must be in (0, 1)")
-    return -log2(anchor_p) / (j - 1) ** anchor_iterations
+    try:
+        return -log2(anchor_p) / (j - 1) ** anchor_iterations
+    except OverflowError:
+        raise RegimeError(f"cannot fit a0: (j-1)**{anchor_iterations} is beyond a float") from None
 
 
 def lentmaier_validity_limit(j: int, k: int, n_vars: int) -> float:

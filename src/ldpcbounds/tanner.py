@@ -33,9 +33,13 @@ cached, since most graphs, such as the oracle's thousands of small
 samples, never reach a float decoder.
 
 `_bfs_levels` serves the queries on a finished graph (`bfs_distances`,
-`distance` and `girth`).  Its levels alternate between the
-two tables, and one level is a gather, a seen-filter and a sort-free
-scatter-and-mark dedupe, all sized by the level, not by the graph.  These
+`distance` and `girth`).  Each call makes its own two label arrays,
+resets them and returns them with the generator of levels that fills
+them, so the callers hold no scratch state: a pair distance keeps one
+labelling per side, and the girth a fresh one per root.  The levels
+alternate between the two tables, and one level is a gather, a
+seen-filter and a sort-free scatter-and-mark dedupe, all sized by the
+level, not by the graph (only the two label fills are sized by it).  These
 queries label few nodes of a large graph; a pair distance stops where its
 two searches meet.
 
@@ -227,52 +231,52 @@ def _pad_rows(deg: np.ndarray, data: np.ndarray, sentinel: int) -> np.ndarray:
 # -- the BFS kernel --------------------------------------------------------
 
 
-def _bfs_levels(g: TannerGraph, root: int, var_dist: np.ndarray, chk_dist: np.ndarray,
-                max_depth: int | None = None):
+def _bfs_levels(g: TannerGraph, root: int, max_depth: int | None = None):
     """Level-synchronous BFS over the bipartite graph from variable ``root``.
+
+    Returns ``(var_dist, chk_dist, levels)``.  The call makes both label
+    arrays, one slot per node plus a last slot for the sentinel (see the
+    module docstring), already reset: -1 for every node, the sentinel
+    marked as seen and the root at 0.  ``levels`` is a generator that
+    labels one level per step, writing each new node's depth in place.
 
     Level d holds checks for odd d and variables for even d: it is
     gathered from level d-1 through ``g.var_adj`` or ``g.chk_adj`` and its
-    depths go into ``chk_dist`` or ``var_dist``.  Each label array holds
-    one slot per node plus a last slot for the sentinel (see the module
-    docstring).  The call itself resets both: -1 for every node, the
-    sentinel marked as seen and the root at 0; each node reached later
-    gets its depth written in place.
-
-    Returns a generator of ``(depth, nodes, merged)`` for depths
-    1..max_depth: the nodes first reached at that depth in no particular
-    order, and whether some node among them has two or more neighbors on
-    the previous level.  It stops early at an empty level; the caller may
-    stop sooner by leaving its loop.
+    depths go into ``chk_dist`` or ``var_dist``.  The generator yields
+    ``(depth, nodes, merged)`` for depths 1..max_depth: the nodes first
+    reached at that depth in no particular order, and whether some node
+    among them has two or more neighbors on the previous level.  It stops
+    early at an empty level; the caller may stop sooner by leaving its
+    loop.
     """
-    for dist in (var_dist, chk_dist):
-        dist.fill(-1)
-        dist[-1] = 0
-    var_dist[root] = 0
-    return _bfs_steps(((g.var_adj, chk_dist), (g.chk_adj, var_dist)),
-                      np.array([root], dtype=np.int64), max_depth)
+    var_dist = np.full(g.n_vars + 1, -1, dtype=np.int64)
+    chk_dist = np.full(g.n_checks + 1, -1, dtype=np.int64)
+    var_dist[-1] = chk_dist[-1] = var_dist[root] = 0
+    steps = ((g.var_adj, chk_dist), (g.chk_adj, var_dist))
 
+    def levels():
+        frontier = np.array([root], dtype=np.int64)
+        depth = 0
+        while max_depth is None or depth < max_depth:
+            adj, dist = steps[depth % 2]
+            depth += 1
+            # take/compress: the same gathers as fancy and boolean indexing,
+            # with less per-call overhead on the many small levels.
+            reached = adj.take(frontier, axis=0).ravel()
+            reached = reached.compress(dist.take(reached) < 0)
+            k = reached.size
+            if k == 0:
+                return
+            # Scatter-and-mark dedupe in O(k): the unlabeled slots hold the
+            # positions, and exactly one occurrence of each node reads back
+            # its own position, whichever write won.
+            slot = np.arange(k)
+            dist[reached] = slot
+            frontier = reached.compress(dist.take(reached) == slot)
+            dist[frontier] = depth
+            yield depth, frontier, frontier.size < k
 
-def _bfs_steps(steps, frontier, max_depth):
-    depth = 0
-    while max_depth is None or depth < max_depth:
-        adj, dist = steps[depth % 2]
-        depth += 1
-        # take/compress: the same gathers as fancy and boolean indexing,
-        # with less per-call overhead on the many small levels.
-        reached = adj.take(frontier, axis=0).ravel()
-        reached = reached.compress(dist.take(reached) < 0)
-        k = reached.size
-        if k == 0:
-            return
-        # Scatter-and-mark dedupe in O(k): the unlabeled slots hold the
-        # positions, and exactly one occurrence of each node reads back its
-        # own position, whichever write won.
-        slot = np.arange(k)
-        dist[reached] = slot
-        frontier = reached.compress(dist.take(reached) == slot)
-        dist[frontier] = depth
-        yield depth, frontier, frontier.size < k
+    return var_dist, chk_dist, levels()
 
 
 def _var_index(g: TannerGraph, u) -> int:
@@ -292,9 +296,8 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
     """
     root = _var_index(g, root)
     max_depth = None if max_depth is None else at_least(max_depth, "max_depth")
-    var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
-    chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
-    for _ in _bfs_levels(g, root, var_dist, chk_dist, max_depth):
+    var_dist, chk_dist, levels = _bfs_levels(g, root, max_depth)
+    for _ in levels:
         pass
     return var_dist[:-1], chk_dist[:-1]
 
@@ -317,21 +320,17 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
     max_depth = None if max_depth is None else at_least(max_depth, "max_depth")
     if vi == vj:
         return 0
-    labels, levels = [], []
-    for root in (vi, vj):
-        var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
-        chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
-        labels.append((var_dist, chk_dist))
-        levels.append(_bfs_levels(g, root, var_dist, chk_dist))
+    # One (var_dist, chk_dist, levels) triple per side.
+    sides = [_bfs_levels(g, vi), _bfs_levels(g, vj)]
     depth, width = [0, 0], [1, 1]
     while max_depth is None or depth[0] + depth[1] < max_depth:
         side = 0 if width[0] <= width[1] else 1
-        step = next(levels[side], None)
+        step = next(sides[side][2], None)
         if step is None:
             return inf  # this side's component is exhausted
         depth[side], ring, _ = step
         width[side] = ring.size
-        if labels[1 - side][depth[side] % 2].take(ring).max() >= 0:
+        if sides[1 - side][depth[side] % 2].take(ring).max() >= 0:
             return depth[0] + depth[1]
     return inf
 
@@ -619,13 +618,11 @@ def girth(g: TannerGraph) -> float:
     over a root on a shortest cycle gives the girth exactly.  Intended
     for desk-scale graphs.
     """
-    var_dist = np.empty(g.n_vars + 1, dtype=np.int64)
-    chk_dist = np.empty(g.n_checks + 1, dtype=np.int64)
     best = inf
     for root in range(g.n_vars):
         # Only depths with 2 * depth < best can improve on best.
         max_depth = None if best == inf else best // 2 - 1
-        for depth, _, merged in _bfs_levels(g, root, var_dist, chk_dist, max_depth):
+        for depth, _, merged in _bfs_levels(g, root, max_depth)[2]:
             if merged:
                 best = 2 * depth
                 break

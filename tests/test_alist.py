@@ -1,6 +1,6 @@
 import pytest
 
-from ldpcbounds import (AlistParseError, DegreeDistribution, EnsembleSpec,
+from ldpcbounds import (AlistParseError, DegreeDistribution, EnsembleSpec, TannerGraph,
                         load_alist, peg_construct, sample_graph, save_alist)
 
 
@@ -24,6 +24,15 @@ def test_roundtrip_peg(tmp_path):
     g = peg_construct(24, [3] * 24, 18)
     path = tmp_path / "peg.alist"
     save_alist(g, path)
+    assert load_alist(path) == g
+
+
+def test_roundtrip_edgeless(tmp_path):
+    # Every adjacency row is padded to one 0, so no row is a blank line.
+    g = TannerGraph(2, 1, [])
+    path = tmp_path / "empty.alist"
+    save_alist(g, path)
+    assert path.read_text() == "2 1\n0 0\n0 0\n0\n0\n0\n0\n"
     assert load_alist(path) == g
 
 

@@ -34,13 +34,14 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="not finite"):
             channel(value)
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan")], ids=["negative", "nan"])
     @pytest.mark.parametrize("method", ["ber_lower", "neg_log2_ber_lower"])
     @pytest.mark.parametrize("channel", [Bec(0.5), Bec(0.0), Bsc(0.1), Biawgn(1.0)],
                              ids=["bec", "bec-noiseless", "bsc", "biawgn"])
-    def test_negative_weight_rejected(self, channel, method):
+    def test_negative_weight_rejected(self, channel, method, weight):
         # Every channel bound takes a weight w >= 0, whatever its parameter.
         with pytest.raises(ValueError, match="weight"):
-            getattr(channel, method)(-1.0)
+            getattr(channel, method)(weight)
 
 
 class TestTransmit:

@@ -449,7 +449,12 @@ class TestCli:
         ("oracle", {"ensemble": {"n_vars": 1200, "var_dist": {"3": 1.0},
                                  "check_dist": {"4": 1.0}},
                     "iterations": [4], "n_samples": 2}, 3),
-    ], ids=["anchor-fit-at-ber-0", "oracle-capacity"])
+        # 2**1100 does not fit in a float, so no a0 fits at the anchor l=1100.
+        ("figure5", {"ensemble": {"n_vars": 900, "var_dist": {"3": 1.0},
+                                  "check_dist": {"4": 1.0}},
+                     "channel": {"type": "bec", "epsilon": 0.7}, "iterations": [1, 1100],
+                     "trials": 2}, 2),
+    ], ids=["anchor-fit-at-ber-0", "oracle-capacity", "anchor-fit-overflow"])
     def test_failed_run_writes_nothing(self, tmp_path, capsys, kind, data, code):
         """Failures that depend on the computed data pass validate, and the
         run still leaves no output directory."""
@@ -458,6 +463,17 @@ class TestCli:
         assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_lentmaier_form_past_float_range(self, tmp_path):
+        """At l=1100 the exponent a0 * 2**l is beyond a float; the form reads 0."""
+        path = self.write_config(tmp_path, {
+            "kind": "bounds", "seed": 1, "ensemble": _REGULAR_34,
+            "channel": {"type": "bec", "epsilon": 0.6}, "a0": 0.5, "iterations": [1, 1100]})
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        header, rows = read_rows(tmp_path / "o" / "bounds.csv")
+        column = header.split(",").index("p_upper_lentmaier")
+        assert [(row[0], row[column]) for row in rows] == [("1", "0.5"), ("1100", "0")]
 
     @pytest.mark.parametrize("command", [
         "bounds", "de", "recursion", "tail", "figure6", "oracle", "validate"])

@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldpcbounds
 from ldpcbounds import (CapacityError, DegreeDistribution, EnsembleSpec,
                         TannerGraph, distance, expected_min_weight_mc,
                         local_system, min_weight_root_one, sample_graph,
                         valid_tree_counts, valid_tree_prob_lower,
                         valid_tree_search, window, windows)
 from ldpcbounds._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, derived_rng
-from ldpcbounds.oracle import Gf2System, ValidTree, _solve_affine
+from ldpcbounds.oracle import Gf2System, ValidTree, _solve_affine, _verify_solution
 from ldpcbounds.tanner import bfs_distances
 
 
@@ -277,6 +283,27 @@ class TestMinWeightRootOne:
         g = sample_graph(spec34_900, 51)
         with pytest.raises(CapacityError):
             min_weight_root_one(local_system(window(g, 0, 3)))
+
+
+class TestVerifySolution:
+    # One row x0 + x1 = 0 with the root x0: only 0b11 solves it with the root set.
+    SYSTEM = Gf2System((0, 1), ((0, 1),), (0,))
+
+    @pytest.mark.parametrize("vec, message", [(0b01, "parity row"), (0b10, "root")])
+    def test_rejects_a_non_solution(self, vec, message):
+        with pytest.raises(AssertionError, match=message):
+            _verify_solution(self.SYSTEM, vec)
+
+    def test_raises_under_optimize(self):
+        # ``python -O`` strips assert statements; the check must not be one.
+        code = ("from ldpcbounds.oracle import Gf2System, _verify_solution\n"
+                "_verify_solution(Gf2System((0, 1), ((0, 1),), (0,)), 0b01)\n")
+        path = [str(Path(ldpcbounds.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, path))}
+        result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert "AssertionError: enumerated solution violates a parity row" in result.stderr
 
 
 class TestValidTreeSearch:

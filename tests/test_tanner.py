@@ -15,7 +15,7 @@ from ldpcbounds import (ConstructionError, DegreeDistribution, EnsembleSpec,
                         InvalidSpecError, SamplingFailureError, TannerGraph,
                         distance, girth, load_alist, peg_construct, save_alist,
                         sample_graph, sample_graph_with_attempts, window)
-from ldpcbounds.tanner import bfs_distances
+from ldpcbounds.tanner import _bfs_levels, bfs_distances
 
 
 def reference_distance(g, vi, vj):
@@ -466,6 +466,21 @@ class TestDistances:
         got = bfs_distances(g, root, max_depth=max_depth)
         want = reference_bfs(g, root, max_depth=max_depth)
         assert [d.tolist() for d in got] == list(want)
+
+    def test_kernel_makes_its_own_reset_labels(self, tree_graph):
+        # Before any level runs: -1 everywhere but the root and the
+        # sentinel slots, which read 0.  A second call shares no array.
+        n, m = tree_graph.n_vars, tree_graph.n_checks
+        var_dist, chk_dist, levels = _bfs_levels(tree_graph, 1)
+        assert var_dist.tolist() == [-1, 0] + [-1] * (n - 2) + [0]
+        assert chk_dist.tolist() == [-1] * m + [0]
+        for _ in levels:
+            pass
+        other = _bfs_levels(tree_graph, 1)
+        assert not np.shares_memory(other[0], var_dist)
+        assert not np.shares_memory(other[1], chk_dist)
+        assert [var_dist[:-1].tolist(), chk_dist[:-1].tolist()] == \
+            list(reference_bfs(tree_graph, 1))
 
     def test_bfs_rejects_root_out_of_range(self, tree_graph):
         for root in (-1, tree_graph.n_vars):
