@@ -41,6 +41,16 @@ def node_count(value, error: type[Exception]) -> int:
         raise error(f"node counts must be integers, got {value!r}") from None
 
 
+def node_index(value, n: int, side: str) -> int:
+    """``value`` as the index of one of ``n`` nodes on ``side`` ("variable"
+    or "check"): any integer type, else ``TypeError``; one outside
+    ``0..n-1`` raises ``IndexError``."""
+    index = operator.index(value)
+    if not 0 <= index < n:
+        raise IndexError(f"{side} index {value} out of range")
+    return index
+
+
 def fmt_number(value) -> str:
     """Locale-independent cell formatting with 12 significant digits.
 

@@ -3,14 +3,18 @@
 Layout: line 1 is ``N M``; line 2 the maximum variable and check degrees;
 lines 3 and 4 the per-variable and per-check degrees; then N adjacency
 lines of 1-indexed check ids and M adjacency lines of 1-indexed variable
-ids.  Adjacency lines are zero-padded to the maximum degree, or to one
-entry where that is 0, so that no line is blank; zeros are ignored on
-input.
+ids.  The adjacency lines are the rows of the graph's sentinel-padded
+tables ``var_adj`` and ``chk_adj`` (see `tanner`), with each id written
+one-based and the sentinel written as 0.  So every line is zero-padded to
+the maximum degree, or to one entry where that is 0, and no line is
+blank; zeros are ignored on input.
 """
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 from .errors import AlistParseError
 from .tanner import TannerGraph
@@ -24,6 +28,17 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         except ValueError:
             raise AlistParseError(f"non-integer token {tok!r}", line=lineno) from None
     return out
+
+
+def _header(lines: list, i: int, count: int, message: str) -> tuple[list[int], int]:
+    """The integers of header line ``i`` and its line number.  Raises
+    AlistParseError with ``message``, formatted with the number found,
+    unless the line holds ``count`` integers."""
+    no, toks = lines[i]
+    values = _ints(toks, no)
+    if len(values) != count:
+        raise AlistParseError(message.format(len(values)), line=no)
+    return values, no
 
 
 def _adjacency(rows: list, degrees: list[int], side: str, other: str,
@@ -64,32 +79,20 @@ def load_alist(path: str | os.PathLike) -> TannerGraph:
     if len(lines) < 4:
         raise AlistParseError("file too short for an alist header")
 
-    no, toks = lines[0]
-    head = _ints(toks, no)
-    if len(head) != 2 or head[0] < 1 or head[1] < 1:
-        raise AlistParseError("expected 'N M' with positive counts", line=no)
-    n_vars, n_checks = head
-
-    no, toks = lines[1]
-    maxdeg = _ints(toks, no)
-    if len(maxdeg) != 2 or min(maxdeg) < 0:
-        raise AlistParseError("expected maximum variable and check degrees", line=no)
-
-    no, toks = lines[2]
-    var_degs = _ints(toks, no)
-    if len(var_degs) != n_vars:
-        raise AlistParseError(f"expected {n_vars} variable degrees, got {len(var_degs)}",
-                              line=no)
-    no, toks = lines[3]
-    chk_degs = _ints(toks, no)
-    if len(chk_degs) != n_checks:
-        raise AlistParseError(f"expected {n_checks} check degrees, got {len(chk_degs)}",
-                              line=no)
+    counts = "expected 'N M' with positive counts"
+    (n_vars, n_checks), no = _header(lines, 0, 2, counts)
+    if n_vars < 1 or n_checks < 1:
+        raise AlistParseError(counts, line=no)
+    max_degrees = "expected maximum variable and check degrees"
+    maxdeg, no = _header(lines, 1, 2, max_degrees)
+    if min(maxdeg) < 0:
+        raise AlistParseError(max_degrees, line=no)
+    var_degs, _ = _header(lines, 2, n_vars, f"expected {n_vars} variable degrees, got {{}}")
+    chk_degs, _ = _header(lines, 3, n_checks, f"expected {n_checks} check degrees, got {{}}")
 
     if len(lines) != 4 + n_vars + n_checks:
         raise AlistParseError(
-            f"expected {4 + n_vars + n_checks} non-empty lines, found {len(lines)}"
-        )
+            f"expected {4 + n_vars + n_checks} non-empty lines, found {len(lines)}")
 
     var_adj = _adjacency(lines[4:4 + n_vars], var_degs, "variable", "check", n_checks)
     chk_adj = _adjacency(lines[4 + n_vars:], chk_degs, "check", "variable", n_vars)
@@ -102,25 +105,15 @@ def load_alist(path: str | os.PathLike) -> TannerGraph:
 
 
 def save_alist(g: TannerGraph, path: str | os.PathLike) -> None:
-    """Write the canonical zero-padded alist representation of a graph."""
-    var_degs = g.var_degrees
-    chk_degs = g.check_degrees
-    max_v = int(var_degs.max())
-    max_c = int(chk_degs.max())
-    lines = [
-        f"{g.n_vars} {g.n_checks}",
-        f"{max_v} {max_c}",
-        " ".join(str(int(d)) for d in var_degs),
-        " ".join(str(int(d)) for d in chk_degs),
-    ]
-    # At least one entry per row: the loader skips blank lines.
-    for v in range(g.n_vars):
-        row = [int(c) + 1 for c in g.var_neighbors(v)]
-        row += [0] * (max(max_v, 1) - len(row))
-        lines.append(" ".join(map(str, row)))
-    for c in range(g.n_checks):
-        row = [int(v) + 1 for v in g.check_neighbors(c)]
-        row += [0] * (max(max_c, 1) - len(row))
-        lines.append(" ".join(map(str, row)))
+    """Write the canonical zero-padded alist representation of a graph.
+
+    The adjacency lines are the rows of ``g.var_adj`` and then of
+    ``g.chk_adj``, without their sentinel rows: ids one-based, and the
+    sentinel written as 0, so each line is as wide as its table.
+    """
+    rows = [[g.n_vars, g.n_checks], [g.var_degrees.max(), g.check_degrees.max()],
+            g.var_degrees.tolist(), g.check_degrees.tolist()]
+    for table, sentinel in ((g.var_adj[:-1], g.n_checks), (g.chk_adj[:-1], g.n_vars)):
+        rows += np.where(table < sentinel, table + 1, 0).tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(" ".join(map(str, row)) + "\n" for row in rows))

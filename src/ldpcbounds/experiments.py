@@ -446,8 +446,8 @@ def _figure5(config, report) -> dict:
     iters = sorted(config.iterations)
     lower = sorted(report.points, key=lambda point: point.iterations)
     trace = _de_trace(config, report)
-    sim_rows = _simulated_rows(config, report, iters)
 
+    # The a0 fit can fail on the computed trace, so it runs before the Monte Carlo.
     if config.a0 is not None:
         a0 = config.a0
         notes["upper_bound_label"] = "form-only upper bound (a0 supplied)"
@@ -464,6 +464,7 @@ def _figure5(config, report) -> dict:
     notes["lentmaier_validity_limit"] = lentmaier_validity_limit(
         j, spec.check_dist.max_degree, spec.n_vars)
 
+    sim_rows = _simulated_rows(config, report, iters)
     # gamma_upper is the log-space form of gamma(2**(-a0 (j-1)**l)); never underflows.
     rows = [[l, point.gamma_lower, _safe_gamma(float(trace.ber[l])),
              log2(a0) + l * log2(j - 1), _safe_gamma(sim[1]), sim[2]]

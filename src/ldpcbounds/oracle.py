@@ -28,14 +28,13 @@ later; the claims are released on backtrack.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from ._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, at_least, derived_rng
+from ._util import STREAM_ORACLE_GRAPH, STREAM_ORACLE_NODE, at_least, derived_rng, node_index
 from .degrees import EnsembleSpec
 from .errors import CapacityError
 from .tanner import TannerGraph, bfs_distances, sample_graph
@@ -97,8 +96,9 @@ class Window:
 def window(g: TannerGraph, v: int, iterations: int) -> Window:
     """The window of root v for l = ``iterations``, from one BFS."""
     iterations = at_least(iterations, "iterations")
+    v = node_index(v, g.n_vars, "variable")
     var_dist, chk_dist = bfs_distances(g, v, max_depth=2 * iterations + 1)
-    return Window(g, operator.index(v), iterations, var_dist, chk_dist)
+    return Window(g, v, iterations, var_dist, chk_dist)
 
 
 def windows(spec: EnsembleSpec, iterations: int, n: int, seed: int) -> Iterator[Window]:

@@ -65,13 +65,12 @@ queries label few nodes.
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from math import inf
 
 import numpy as np
 
-from ._util import at_least, node_count
+from ._util import at_least, node_count, node_index
 from .degrees import EnsembleSpec
 from .errors import ConstructionError, InvalidSpecError, SamplingFailureError
 
@@ -150,14 +149,12 @@ class TannerGraph:
 
     def var_neighbors(self, v: int) -> np.ndarray:
         """Check nodes adjacent to variable v, in ascending order."""
-        if not 0 <= v < self.n_vars:  # row n_vars and row -1 are the sentinel row
-            raise IndexError(f"variable index {v} out of range")
+        v = node_index(v, self.n_vars, "variable")  # row n_vars or -1 is the sentinel row
         return self.var_adj[v, :self.var_degrees[v]]
 
     def check_neighbors(self, c: int) -> np.ndarray:
         """Variable nodes adjacent to check c, in ascending order."""
-        if not 0 <= c < self.n_checks:
-            raise IndexError(f"check index {c} out of range")
+        c = node_index(c, self.n_checks, "check")
         return self.chk_adj[c, :self.check_degrees[c]]
 
     def edges(self) -> np.ndarray:
@@ -279,14 +276,6 @@ def _bfs_levels(g: TannerGraph, root: int, max_depth: int | None = None):
     return var_dist, chk_dist, levels()
 
 
-def _var_index(g: TannerGraph, u) -> int:
-    """``u`` as a variable index of ``g``: any integer type, in range."""
-    index = operator.index(u)
-    if not 0 <= index < g.n_vars:
-        raise IndexError(f"variable index {u} out of range")
-    return index
-
-
 def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Graph distances from a root variable node, level-synchronous.
@@ -294,7 +283,7 @@ def bfs_distances(g: TannerGraph, root: int, max_depth: int | None = None
     Returns ``(var_dist, chk_dist)`` int arrays with -1 for nodes not
     reached within ``max_depth``, an integer or None for no limit.
     """
-    root = _var_index(g, root)
+    root = node_index(root, g.n_vars, "variable")
     max_depth = None if max_depth is None else at_least(max_depth, "max_depth")
     var_dist, chk_dist, levels = _bfs_levels(g, root, max_depth)
     for _ in levels:
@@ -316,7 +305,7 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
     length runs through the meeting node), and a search whose depth sum
     reaches ``max_depth`` without a meeting can stop.
     """
-    vi, vj = _var_index(g, vi), _var_index(g, vj)
+    vi, vj = (node_index(u, g.n_vars, "variable") for u in (vi, vj))
     max_depth = None if max_depth is None else at_least(max_depth, "max_depth")
     if vi == vj:
         return 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ldpcbounds import (AlistParseError, DegreeDistribution, EnsembleSpec, TannerGraph,
@@ -34,6 +36,21 @@ def test_roundtrip_edgeless(tmp_path):
     save_alist(g, path)
     assert path.read_text() == "2 1\n0 0\n0 0\n0\n0\n0\n0\n"
     assert load_alist(path) == g
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: peg_construct(900, [3] * 900, 675),
+     "bbe389064041fc6db16146da7d7bbe24ad3c917a17a0d97fb4b121dc533a707d"),
+    (lambda: sample_graph(EnsembleSpec(60, DegreeDistribution({2: 0.5, 3: 0.5}),
+                                       DegreeDistribution({4: 0.5, 6: 0.5})), 4),
+     "c91d059b9cac78b589fd92c5be8d90e71378289c75e009a4ff5d8e8bbab22d02"),
+    (lambda: TannerGraph(3, 2, [(0, 1)]),
+     "86299c1fd92daac32ba46d964834c1720f1411e43d64dd4533e8c8952ef5b51f"),
+], ids=["peg-3-4-900", "irregular-60", "isolated-nodes"])
+def test_saved_bytes_pinned(tmp_path, make, digest):
+    path = tmp_path / "code.alist"
+    save_alist(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_handwritten_two_variable_graph(tmp_path):

@@ -118,6 +118,11 @@ class TestDecode:
         with pytest.raises(ValueError, match="finite"):
             decode(tree_graph, llr, 1)
 
+    @pytest.mark.parametrize("n", [9, 11, 0])
+    def test_float_bp_rejects_llr_of_wrong_length(self, tree_graph, n):
+        with pytest.raises(ValueError, match="llr must have length 10"):
+            next(float_bp(tree_graph, np.ones(n), 1))
+
     @pytest.mark.parametrize("first", [
         lambda g, l: next(float_bp(g, np.ones(g.n_vars), l)).tolist(),
         lambda g, l: next(bec_unresolved(g, np.ones((2, g.n_vars), dtype=bool), l)).tolist(),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, sample_graph, \
     save_alist
+from ldpcbounds import experiments
 from ldpcbounds._util import fmt_number
 from ldpcbounds.cli import _build_parser, main
 from ldpcbounds.experiments import (_CHANNELS, _ENSEMBLE_KEYS, CSV_HEADERS,
@@ -418,6 +419,9 @@ class TestCli:
                                  "check_dist": {"4": 1.0}}}),
         ("recursion", {"ensemble": LOW_CHECK_DEGREE_ENSEMBLE}),
         ("bounds", {"ensemble": LOW_CHECK_DEGREE_ENSEMBLE}),
+        ("simulate", {"ensemble": None}),
+        ("figure5", {"ensemble": {"n_vars": 120, "var_dist": {"2": 1.0},
+                                  "check_dist": {"4": 1.0}}}),
     ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed",
             "string-trials", "negative-trials", "float-trials", "zero-trials-per-block",
             "string-threads", "zero-threads", "string-theta1", "theta1-above-one",
@@ -427,7 +431,8 @@ class TestCli:
             "unknown-code", "subnormal-sigma2", "misspelt-perspective",
             "bec-with-q", "sigma2-and-eb-n0", "eb-n0-overflow", "eb-n0-underflow",
             "eb-n0-infinite-sigma2", "bsc-de", "bsc-figure5", "regular-2-4-bounds",
-            "check-degree-2-recursion", "check-degree-2-bounds"])
+            "check-degree-2-recursion", "check-degree-2-bounds", "simulate-without-code",
+            "regular-2-4-figure5"])
     def test_bad_config_exit_code(self, tmp_path, capsys, kind, changes):
         """A config the run rejects is rejected by validate too, and the run
         writes nothing."""
@@ -463,6 +468,73 @@ class TestCli:
         assert main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == code
         assert not (tmp_path / "o").exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"ensemble": REGULAR_ENSEMBLE, "channel": {"type": "bec", "epsilon": 0.0},
+         "iterations": [1, 2], "trials": 4, "code": "ensemble"},
+        {"ensemble": {"n_vars": 900, "var_dist": {"3": 1.0}, "check_dist": {"4": 1.0}},
+         "channel": {"type": "bec", "epsilon": 0.7}, "iterations": [1, 1100], "trials": 2},
+    ], ids=["anchor-fit-at-ber-0", "anchor-fit-overflow"])
+    def test_anchor_fit_fails_before_simulation(self, tmp_path, capsys, monkeypatch, data):
+        """A figure5 run whose a0 fit fails exits before any Monte Carlo."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("figure5 simulated before fitting a0")
+        monkeypatch.setattr(experiments, "estimate_ber_curve", no_simulation)
+        path = self.write_config(tmp_path, {"kind": "figure5", "seed": 1, **data})
+        assert main(["figure5", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert "cannot fit a0" in capsys.readouterr().err
+
+    def test_validate_unknown_kind(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"kind": "foo", "seed": 1})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "unknown kind 'foo'" in capsys.readouterr().err
+
+    def test_eb_n0_needs_an_ensemble(self, tmp_path, capsys, spec34_900):
+        """An alist code has no design rate to convert Eb/N0 with."""
+        alist_path = tmp_path / "g.alist"
+        save_alist(sample_graph(spec34_900, 1), alist_path)
+        path = self.write_config(tmp_path, {
+            "kind": "simulate", "seed": 1, "alist": str(alist_path),
+            "channel": {"type": "biawgn", "eb_n0_db": 2.0}, "iterations": [1],
+            "trials": 2})
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert "eb_n0_db conversion needs an ensemble" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "de"])
+    def test_seed_override_is_checked(self, tmp_path, capsys, command):
+        """A command-line seed passes the same schema as the config's."""
+        path = self.write_config(tmp_path, {
+            "kind": "de", "seed": 1, "ensemble": REGULAR_ENSEMBLE,
+            "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [3]})
+        assert main([command, "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_override_keeps_bytes(self, tmp_path, monkeypatch):
+        """--threads reaches the Monte Carlo sweep and leaves the bytes alone."""
+        real, used = experiments.estimate_ber_curve, []
+
+        def recording(*args, threads, **kwargs):
+            used.append(threads)
+            return real(*args, threads=threads, **kwargs)
+        monkeypatch.setattr(experiments, "estimate_ber_curve", recording)
+        path = self.write_config(tmp_path, {
+            "kind": "figure5", "seed": 3, "ensemble": REGULAR_ENSEMBLE,
+            "channel": {"type": "bec", "epsilon": 0.5}, "iterations": [1, 2],
+            "trials": 24, "trials_per_block": 4, "code": "ensemble"})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["figure5", "--config", str(path), "--threads", threads,
+                         "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("figure5.csv", "figure5_sim.csv")])
+        assert used == [1, 2]
+        assert outputs[0] == outputs[1]
 
     def test_lentmaier_form_past_float_range(self, tmp_path):
         """At l=1100 the exponent a0 * 2**l is beyond a float; the form reads 0."""

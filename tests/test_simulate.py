@@ -168,6 +168,11 @@ class TestEstimateBerCurve:
         with pytest.raises(ValueError):
             estimate_ber_curve(small_graph, Bec(0.3), [], 5, seed=1)
 
+    @pytest.mark.parametrize("code", ["g.alist", None], ids=["path", "none"])
+    def test_rejects_code_of_other_type(self, code):
+        with pytest.raises(TypeError, match="TannerGraph or an EnsembleSpec"):
+            estimate_ber_curve(code, Bec(0.3), [1], 5, seed=1)
+
 
 @pytest.mark.parametrize("channel, digest", FLOAT_BP_DIGESTS.values(),
                          ids=FLOAT_BP_DIGESTS.keys())

@@ -492,7 +492,10 @@ class TestDistances:
         lambda g, u: distance(g, u, 3),
         lambda g, u: distance(g, 3, u),
         lambda g, u: window(g, u, 1).var_dist.tolist(),
-    ], ids=["bfs_distances", "distance-first", "distance-second", "window"])
+        lambda g, u: g.var_neighbors(u).tolist(),
+        lambda g, u: g.check_neighbors(u).tolist(),
+    ], ids=["bfs_distances", "distance-first", "distance-second", "window", "var_neighbors",
+            "check_neighbors"])
     def test_rejects_non_integer_variable(self, tree_graph, query):
         for u in (2.5, 0.5, np.float64(2.0)):
             with pytest.raises(TypeError):
