@@ -65,9 +65,9 @@ def load_alist(path: str | os.PathLike) -> TannerGraph:
     """Parse an alist file into a TannerGraph.
 
     Raises AlistParseError (carrying the offending line number) for
-    malformed counts, out-of-range indices, parallel edges, or adjacency
-    halves that disagree with each other, and for a file that is not
-    ASCII text.
+    malformed counts, maximum degrees that are not those of the degree
+    lines, out-of-range indices, parallel edges, or adjacency halves that
+    disagree with each other, and for a file that is not ASCII text.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -83,12 +83,13 @@ def load_alist(path: str | os.PathLike) -> TannerGraph:
     (n_vars, n_checks), no = _header(lines, 0, 2, counts)
     if n_vars < 1 or n_checks < 1:
         raise AlistParseError(counts, line=no)
-    max_degrees = "expected maximum variable and check degrees"
-    maxdeg, no = _header(lines, 1, 2, max_degrees)
-    if min(maxdeg) < 0:
-        raise AlistParseError(max_degrees, line=no)
+    maxdeg, maxdeg_no = _header(lines, 1, 2, "expected maximum variable and check degrees")
     var_degs, _ = _header(lines, 2, n_vars, f"expected {n_vars} variable degrees, got {{}}")
     chk_degs, _ = _header(lines, 3, n_checks, f"expected {n_checks} check degrees, got {{}}")
+    if maxdeg != [max(var_degs), max(chk_degs)]:
+        raise AlistParseError(
+            f"maximum degrees {maxdeg[0]} {maxdeg[1]} differ from the degree lines' "
+            f"{max(var_degs)} {max(chk_degs)}", line=maxdeg_no)
 
     if len(lines) != 4 + n_vars + n_checks:
         raise AlistParseError(

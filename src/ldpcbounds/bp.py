@@ -14,27 +14,29 @@ message and marginal stays finite; a check with no other input sends
 
 Messages live in the check-column layout of ``TannerGraph.chk_cols``: a
 ``(w, n_checks + 1)`` array whose slot (j, c) holds the j-th edge of
-check c, w being the largest check degree.  A per-check sum is then one
-``reduce`` over axis 0, and the result broadcasts back over the rows.
+check c, w being the largest check degree.  A per-check product is then
+a loop over a few rows, each pass as wide as the number of checks.
 Padding slots, and the sentinel column, read the marginal +inf
-of the sentinel variable, so their variable-to-check message is +inf:
-tanh gives 1, log gives 0, and the slot counts as neither zero nor
-negative.  A marginal gathers its check messages through
+of the sentinel variable, so their variable-to-check message is +inf and
+their tanh is exactly 1.0, which leaves every product it enters as it
+was.  A marginal gathers its check messages through
 ``TannerGraph.var_slots``; its padding reads the sentinel column, which
 is held at 0.
 
-Summation order is part of the output.  Each check adds its logs row by
-row, in edge order, starting from 0.0; each variable adds its check
-messages in ascending check order, starting from 0.0, and then the
-channel LLR.  This is the order of a ``bincount`` over the canonical
-edge list, so the float results are those of the edge-ordered kernel
-that this layout replaced, bit for bit.  numpy's axis-0 ``add.reduce``
-keeps that row order only while the other axis has length 2 or more;
-``chk_cols`` always has the sentinel column besides a real one.
+Multiplication and summation order are part of the output.  Each check
+message to edge j multiplies the tanh values of the edges before j, in
+edge order from 1.0, by those of the edges after j, from the last edge
+back, also from 1.0.  Each variable adds its check messages in ascending
+check order, starting from 0.0, and then the channel LLR: the order of a
+``bincount`` over the canonical edge list.  So the float results are
+those of an edge-ordered kernel with these orders, bit for bit.  numpy's
+axis-0 ``add.reduce`` keeps that row order only while the other axis has
+length 2 or more; ``var_slots`` has a column per variable, and over a
+single variable every check message is the same +50.
 
 An iteration is a fixed list of whole-array passes: one gather of
 variable-to-check messages, one subtraction, the check update (whose
-passes, and why each is exact, ``_check_update`` lists) and one gather
+passes, and why each is exact or safe, ``_check_update`` lists) and one gather
 and one sum for the marginals.  ``float_bp`` gathers into one v2c buffer
 and writes the check update into one c2v buffer, both reused for every
 iteration; each marginal array it yields is new.
@@ -57,7 +59,6 @@ from ._util import at_least
 from .tanner import TannerGraph
 
 LLR_CLAMP = 50.0
-_TIMES_TWO = np.array([2.0, -2.0])  # indexed by a message's sign flip
 
 
 # -- the kernel, in the check-column layout ---------------------------------
@@ -79,52 +80,40 @@ def _marginals(g: TannerGraph, llr: np.ndarray, c2v: np.ndarray) -> np.ndarray:
 
 def _check_update(v2c: np.ndarray, out: np.ndarray) -> None:
     """Write into ``out`` the check-to-variable messages for the
-    check-column messages ``v2c``: the extrinsic tanh-half product rule.
-    ``v2c`` is spent as scratch space.
+    check-column messages ``v2c``: the extrinsic tanh-half product rule,
+    2 * atanh of the product of the other inputs' tanh(m/2), capped at the
+    clamp.  ``v2c`` is spent as scratch space.
 
-    Any zero extrinsic input forces a zero output; every other case is
-    2*atanh of the product of tanh(|m|/2), capped at the clamp.  An input
-    counts as zero when tanh(|m|/2) is, which also catches the smallest
-    subnormals.
+    The passes, and why each is exact or safe:
 
-    The passes, and why each gives the bits of the plain rule:
-
-    - tanh(|m| * 0.5) in place, without the clamp before it: tanh(y) is
-      exactly 1.0 for every y >= 19, so min(|m|, 50) / 2 and |m| / 2 give
-      the same tanh.  Multiplying by 0.5 is dividing by 2.
-    - The zero mask, the 1.0 put in for log and the final zeroing are
-      made only when some tanh is 0.
-    - log, then per-check sums: ``add.reduce`` over axis 0 from 0.0 adds
-      the rows in edge order, as the plain loop does; ``logical_xor``
-      gives the parity of negative inputs.
-    - The extrinsic sum, exp, the cap at 1 and arctanh, in ``out``.
-    - min(a, 25) times +2 or -2, the factor taken by the sign flip from a
-      two-entry table: 2 * min(a, 25) is min(2a, 50), and a * -2 is
-      -(2a), bit for bit and -0.0 included.  A masked negation would
-      give the same bits, but a masked ufunc runs its inner loop once per
-      run of True values in the mask.
+    - tanh(m * 0.5) in place, sign kept, with no clamp before it: tanh(y)
+      is exactly +/-1.0 for every |y| >= 19, so min(|m|, 50) / 2 and m / 2
+      give the same tanh.  Multiplying by 0.5 is dividing by 2.
+    - Row j of ``out`` gets the product of rows 0..j-1, multiplied top-down
+      from the empty product 1.0; then a running product of the rows below
+      it, multiplied bottom-up, multiplies into it.  A zero input (an exact
+      zero, or a subnormal whose tanh(m/2) is 0) zeroes every product it
+      enters, so zeros need no mask.  Padding rows hold tanh(+inf) = 1.0,
+      and multiplying by 1.0 is exact, so a padded check gets the bits of
+      one over its real edges only; a check with no other input gets 1.0.
+    - arctanh in place.  Every factor has |t| <= 1, so |product| <= 1 needs
+      no cap, and arctanh(+/-1) is +/-inf before the clip.
+    - Clip to +/-25, then double: 2 * clip(a, -25, 25) is the sign of a
+      times min(2|a|, 50), bit for bit, since doubling is exact.
     """
-    negative = v2c < 0.0
-    t = np.abs(v2c, out=v2c)
-    t *= 0.5
+    t = np.multiply(v2c, 0.5, out=v2c)
     np.tanh(t, out=t)
-    any_zero = t.min() == 0.0
-    if any_zero:
-        zero = t == 0.0
-        np.copyto(t, 1.0, where=zero)
-    log_t = np.log(t, out=t)
-    log_sum = np.add.reduce(log_t, axis=0, initial=0.0)
-    flip = np.logical_xor(np.logical_xor.reduce(negative, axis=0), negative, out=negative)
-
-    np.subtract(log_sum, log_t, out=out)  # the extrinsic log sums
-    np.exp(out, out=out)
-    np.minimum(out, 1.0, out=out)
-    with np.errstate(divide="ignore"):  # arctanh(1) is inf before the cap
+    out[0] = 1.0
+    for j in range(1, len(t)):
+        np.multiply(out[j - 1], t[j - 1], out=out[j])
+    below = t[-1].copy()
+    for j in range(len(t) - 2, -1, -1):
+        out[j] *= below
+        below *= t[j]
+    with np.errstate(divide="ignore"):  # arctanh(+/-1) is +/-inf before the clip
         np.arctanh(out, out=out)
-    np.minimum(out, LLR_CLAMP / 2, out=out)
-    out *= _TIMES_TWO.take(flip, out=v2c, mode="clip")
-    if any_zero:
-        np.copyto(out, 0.0, where=zero.sum(axis=0) > zero)
+    np.clip(out, -LLR_CLAMP / 2, LLR_CLAMP / 2, out=out)
+    out *= 2.0
 
 
 def float_bp(g: TannerGraph, llr, iterations: int):

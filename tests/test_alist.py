@@ -93,6 +93,16 @@ def test_degree_mismatch_rejected(tmp_path):
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize("line2", ["5 7", "1 1", "2 2", "-1 2"])
+def test_maximum_degrees_must_match_degree_lines(tmp_path, line2):
+    # Line 2 must be the largest entry of line 3 and of line 4, here "1 2".
+    path = tmp_path / "max.alist"
+    path.write_text(f"2 1\n{line2}\n1 1\n2\n1\n1\n1 2\n")
+    with pytest.raises(AlistParseError, match="maximum degrees") as err:
+        load_alist(path)
+    assert err.value.line == 2
+
+
 def test_inconsistent_halves_rejected(tmp_path):
     path = tmp_path / "half.alist"
     path.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n")

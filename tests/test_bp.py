@@ -9,6 +9,7 @@ from conftest import erasure_bp_reference
 from ldpcbounds import (Bec, Biawgn, Bsc, DegreeDistribution, EnsembleSpec,
                         TannerGraph, bec_unresolved, decode, float_bp,
                         sample_graph, transmit)
+from ldpcbounds import bp
 from ldpcbounds.bp import LLR_CLAMP
 
 
@@ -72,6 +73,15 @@ class TestC2vUpdate:
         out = decode(star_check(3), llr, 1).marginals - llr
         assert out[0] > 0 and out[1] < 0 and out[2] < 0
 
+    def test_weak_input_beside_strong_ones(self):
+        # The message to variable 2 is the product of two tanh values within
+        # 2e-13 of 1; a log-domain sum that adds then subtracts the weak
+        # input's log loses them to cancellation (29.68581112, 2.9e-5 off).
+        llr = np.array([30.0, 31.0, 0.25])
+        out = decode(star_check(3), llr, 1).marginals - llr
+        assert out[2] == 2 * np.arctanh(np.tanh(15.0) * np.tanh(15.5))
+        assert out[2] == pytest.approx(29.68667805, abs=1e-8)
+
     @pytest.mark.parametrize("tiny", [5e-324, -5e-324])
     def test_subnormal_input_counts_as_zero(self, tiny):
         # tanh(5e-324 / 2) is 0, so the input must annihilate like an exact zero
@@ -97,6 +107,31 @@ def test_tanh_is_one_from_19(y):
     # in numpy's scalar loop and in its array loop alike.
     assert np.tanh(y) == 1.0
     assert (np.tanh(np.full(67, y)) == 1.0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is no wider than float64")
+def test_check_update_matches_long_double_product(width, seed):
+    # Check columns of degree 2..width, padded with +inf as in chk_cols.
+    # Each message is compared with 2 atanh of the product of the other
+    # float64 tanh values taken in long double, wherever that is below 49.
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(2, width + 1, 40)
+    v2c = np.where(np.arange(width)[:, None] < degrees, rng.normal(0.0, 30.0, (width, 40)),
+                   np.inf)
+    t = np.tanh(v2c / 2.0).astype(np.longdouble)
+    want = np.empty_like(t)
+    with np.errstate(divide="ignore"):  # a product of 1 gives inf, not compared
+        for j in range(width):
+            want[j] = 2 * np.arctanh(np.prod(np.delete(t, j, axis=0), axis=0))
+    got = np.empty_like(v2c)
+    bp._check_update(v2c.copy(), got)
+    real = np.isfinite(v2c) & (abs(want) < 49)
+    assert real.any()
+    err = abs(got[real] - want[real].astype(np.float64)) / abs(want[real])
+    assert err.max(initial=0.0) <= 1e-9
 
 
 class TestDecode:
@@ -135,6 +170,39 @@ class TestDecode:
             with pytest.raises(TypeError):
                 first(tree_graph, iterations)
         assert first(tree_graph, np.int64(1)) == first(tree_graph, 1)
+
+
+def deep_tree():
+    """A cycle-free chain of five checks over ten variables, depth 5 from
+    variable 0 to variable 9."""
+    checks = [(0, 1, 2), (1, 3, 4), (3, 5, 6), (5, 7, 8), (7, 9)]
+    return TannerGraph(10, 5, [(v, c) for c, vs in enumerate(checks) for v in vs])
+
+
+def posterior_llrs(g, llr):
+    """A-posteriori LLR of every bit, by enumerating the codewords."""
+    words = (np.arange(2 ** g.n_vars)[:, None] >> np.arange(g.n_vars)) & 1
+    edges = g.edges()
+    parity = np.zeros((len(words), g.n_checks), dtype=np.int64)
+    np.add.at(parity.T, edges[:, 1], words[:, edges[:, 0]].T)
+    code = words[(parity % 2 == 0).all(axis=1)]
+    log_weight = -(code @ llr)
+    return np.array([np.logaddexp.reduce(log_weight[code[:, v] == 0])
+                     - np.logaddexp.reduce(log_weight[code[:, v] == 1])
+                     for v in range(g.n_vars)])
+
+
+@pytest.mark.parametrize("graph, depth", [(None, 2), (deep_tree(), 5)], ids=["fixture", "deep"])
+def test_tree_marginals_are_exact_posteriors(tree_graph, graph, depth):
+    # On a tree, flooding BP gives the exact a-posteriori LLRs once the
+    # iterations reach the depth, and keeps them from then on.
+    g = tree_graph if graph is None else graph
+    rng = np.random.default_rng(depth)
+    for _ in range(200):
+        llr = rng.normal(1.0, 2.0, g.n_vars)
+        want = posterior_llrs(g, llr)
+        for marginals in list(float_bp(g, llr, depth + 2))[depth:]:
+            assert marginals == pytest.approx(want, rel=1e-9)
 
 
 class TestProperties:
@@ -250,10 +318,10 @@ class TestBecUnresolved:
 
 
 # -- the edge-ordered reference --------------------------------------------
-# The float kernel as it was before messages moved to the check-column
-# layout: one message per canonical edge, and per-node sums as bincount
-# scatters over the edge list.  The layout must give its marginals and
-# check messages bit for bit.
+# The float kernel written per canonical edge: one message per edge, the
+# check rule as a product in edge order, and per-node sums as bincount
+# scatters over the edge list.  The check-column layout must give its
+# marginals bit for bit.
 
 
 def _reference_scatter(values, index, size):
@@ -265,27 +333,23 @@ def reference_marginals(g, llr, c2v):
 
 
 def reference_c2v(g, v2c):
-    ec = g.edges()[:, 1]
-    negative = v2c < 0.0
-    t = np.tanh(np.minimum(np.abs(v2c), LLR_CLAMP) / 2.0)
-    zero = t == 0.0
-    log_t = np.log(np.where(zero, 1.0, t))
-
-    zero_per_chk = _reference_scatter(zero.astype(np.float64), ec, g.n_checks)
-    neg_per_chk = _reference_scatter(negative.astype(np.float64), ec, g.n_checks)
-    log_per_chk = _reference_scatter(log_t, ec, g.n_checks)
-
-    e_zero = zero_per_chk[ec] - zero
-    e_neg = (neg_per_chk[ec] - negative).astype(np.int64)
-    e_log = log_per_chk[ec] - log_t
-
-    sign = np.where(e_neg % 2 == 0, 1.0, -1.0)
+    """The product rule per canonical edge: edge j of a check of degree d
+    gets 2 atanh of t_0...t_{j-1} (from 1.0) times t_{d-1}...t_{j+1} (from
+    1.0), t being tanh(m/2), clipped to +/-25 before the doubling."""
+    t = np.tanh(v2c / 2.0).tolist()
+    product = np.empty(g.n_edges)
+    start = 0
+    for d in g.check_degrees.tolist():
+        for j in range(d):
+            left = right = 1.0
+            for x in t[start:start + j]:
+                left *= x
+            for x in reversed(t[start + j + 1:start + d]):
+                right *= x
+            product[start + j] = left * right
+        start += d
     with np.errstate(divide="ignore"):
-        product = np.minimum(np.exp(e_log), 1.0)
-        magnitude = np.minimum(2.0 * np.arctanh(product), LLR_CLAMP)
-    out = sign * magnitude
-    out[e_zero > 0] = 0.0
-    return out
+        return 2.0 * np.clip(np.arctanh(product), -LLR_CLAMP / 2, LLR_CLAMP / 2)
 
 
 def reference_float_bp(g, llr, iterations):
@@ -357,11 +421,11 @@ class TestMatchesEdgeReference:
     @pytest.mark.parametrize("degree", [16, 40, 300])
     def test_one_check_sums_rows_in_order(self, degree):
         # chk_cols is (degree, 2): the check's column and the sentinel's.
-        # numpy's axis-0 reduce adds the rows in order while the other axis
-        # has length 2 or more; over one column it sums pairwise, which
-        # gives other marginals for these LLRs at every degree here.  LLRs
-        # near log(2 * degree) keep each extrinsic product near 1/e, so an
-        # ulp of a check's log sum is not lost in the marginals.
+        # Each message multiplies the rows above its own top-down and those
+        # below it bottom-up; this pins that multiplication order, which a
+        # different order would change in the last bits.  LLRs near
+        # log(2 * degree) keep each extrinsic product near 1/e, so an ulp of
+        # a check's product is not lost in the marginals.
         g = star_check(degree)
         assert g.chk_cols.shape == (degree, 2)
         llr = math.log(2 * degree) + np.random.default_rng(1).normal(0.0, 1.0, degree)
