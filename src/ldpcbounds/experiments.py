@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from math import isfinite, log2
 from pathlib import Path
@@ -29,7 +29,7 @@ from .regular_bounds import (REGIME_BLOCK, REGIME_TREE, RegularParams, closed_fo
                              gamma_transform, lentmaier_fit_a0, lentmaier_upper,
                              lentmaier_validity_limit)
 from .simulate import DEFAULT_TRIALS_PER_BLOCK, estimate_ber_curve
-from .tanner import peg_construct
+from .tanner import TannerGraph, peg_construct
 
 CSV_HEADERS = {
     "bounds": "l,regime,w_ub,p_lower,gamma_lower,p_upper_lentmaier,p_lower_relaxed",
@@ -234,13 +234,15 @@ def _spec_is_regular(spec: EnsembleSpec) -> bool:
 @dataclass
 class ValidationReport:
     """Findings of ``validate``, plus what it built, which ``run`` hands to
-    the kind's handler: the ensemble, the channel and its notes, and the
-    lower-bound points at ``config.iterations`` (kinds ``bounds`` and
-    ``figure5``) or the recursion trace (kind ``recursion``)."""
+    the kind's handler: the ensemble, the graph read from the alist file,
+    the channel and its notes, and the lower-bound points at
+    ``config.iterations`` (kinds ``bounds`` and ``figure5``) or the
+    recursion trace (kind ``recursion``)."""
 
     errors: list[str] = field(default_factory=list)
     infos: list[str] = field(default_factory=list)
     spec: EnsembleSpec | None = None
+    graph: TannerGraph | None = None
     channel: ChannelModel | None = None
     notes: dict = field(default_factory=dict)
     points: list = field(default_factory=list)
@@ -254,10 +256,12 @@ class ValidationReport:
 def validate(config: ExperimentConfig) -> ValidationReport:
     """Every check a config must pass for ``run`` to start its kind.
 
-    Builds the ensemble and the channel and evaluates the kind's weight
-    bound, which takes microseconds per iteration count and raises the
-    bound's own argument errors; each computed bound point outside the
-    tree or below-threshold regime gets an info line naming its regime.
+    Rejects an output directory that is, or lies below, an existing file.
+    Builds the ensemble, the alist file's graph and the channel and
+    evaluates the kind's weight bound, which takes microseconds per
+    iteration count and raises the bound's own argument errors; each
+    computed bound point outside the tree or below-threshold regime gets
+    an info line naming its regime.
     The report keeps the points or the trace, which the handler writes.
     Runs no density evolution, sampling or simulation.
     """
@@ -267,6 +271,9 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     if report.errors:
         return report
     kind = config.kind
+    out = Path(config.out_dir)
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        report.errors.append(f"output directory {out} is, or lies below, an existing file")
     for name in _KINDS[kind][1]:
         if getattr(config, name) in (None, []):
             report.errors.append(f"kind {kind} requires '{name}'")
@@ -284,6 +291,11 @@ def validate(config: ExperimentConfig) -> ValidationReport:
             report.errors.append(f"ensemble: {exc}")
     if config.alist is not None and not Path(config.alist).is_file():
         report.errors.append(f"alist file not found: {config.alist}")
+    elif config.alist is not None:
+        try:
+            report.graph = load_alist(config.alist)
+        except (LdpcBoundsError, OSError) as exc:
+            report.errors.append(f"alist: {exc}")
     if config.channel is not None:
         try:
             report.channel, report.notes = build_channel(config, report.spec)
@@ -362,8 +374,8 @@ def _simulated_rows(config: ExperimentConfig, report: ValidationReport,
                     iterations: list[int]) -> list[list]:
     """BER rows from one Monte Carlo sweep over the configured code."""
     spec = report.spec
-    if config.alist is not None:
-        code = load_alist(config.alist)
+    if report.graph is not None:
+        code = report.graph
     elif config.code == "ensemble":
         code = spec
     else:
@@ -493,18 +505,21 @@ KINDS = tuple(_KINDS)
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one experiment; returns the manifest dict (also written to disk).
 
-    Raises ConfigError for a config that ``validate`` rejects or whose
+    Raises ConfigError for a config that ``validate`` rejects, ``out_dir``
+    (which overrides ``config.out_dir``) included, or whose
     density-evolution BER at the a0 anchor is 0 or 1, and propagates
     CapacityError from the oracle.  The output directory is made only
     after the kind's tables are computed, so a run that raises writes
     nothing.
     """
+    if out_dir is not None:
+        config = replace(config, out_dir=str(out_dir))
     report = validate(config)
     if not report.ok:
         raise ConfigError("; ".join(report.errors))
     started = datetime.now(timezone.utc).isoformat()
     tables = _KINDS[config.kind][0](config, report)
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)
                for name, rows in tables.items()}

@@ -17,11 +17,9 @@ one is simple.  An ensemble is realized once, into its spec's read-only
 degree arrays, and every sample shares exactly these two arrays: each
 sample's ``var_degrees`` is its spec's ``var_degrees``, and likewise for
 the checks.  The variable and check sockets are built per call from
-them.  An accepted matching is turned into tables by two sorts and the
-step that the constructor also ends with, without the constructor's
-checks, which such a matching passes by construction.  On a 2-core Xeon
-host this cut the set-up and build of one (3,4) sample at N=900 from 130
-to 50 us, next to about 500 us of shuffling.
+them.  Every graph's tables come from one builder, `TannerGraph._set_tables`,
+which the sampler calls with an accepted matching and the constructor
+calls once it has checked its outside input.
 
 The decoders in `bp` run on the same tables transposed, the check-column
 layout: row j of ``chk_adj.T`` holds the j-th variable of every check, so
@@ -112,23 +110,27 @@ class TannerGraph:
             pairs.min() < 0 or pairs[:, 0].max() >= n_vars or pairs[:, 1].max() >= n_checks
         ):
             raise InvalidSpecError("edge endpoint out of range")
-        key = np.sort(pairs[:, 1] * n_vars + pairs[:, 0])
-        if key.size and np.any(np.diff(key) == 0):
-            raise InvalidSpecError("parallel edges are not allowed")
-        edge_chk, edge_var = np.divmod(key, n_vars)
-        # Sorting the unique (var, check) keys lists each variable's checks.
-        by_var = np.sort(edge_var * n_checks + edge_chk) % n_checks
-        self._set_tables(n_vars, n_checks, edge_var, by_var,
-                         np.bincount(edge_var, minlength=n_vars),
-                         np.bincount(edge_chk, minlength=n_checks))
+        var, chk = pairs.T
+        self._set_tables(n_vars, n_checks, var, chk, np.bincount(var, minlength=n_vars),
+                         np.bincount(chk, minlength=n_checks))
 
-    def _set_tables(self, n_vars: int, n_checks: int, by_chk: np.ndarray,
-                    by_var: np.ndarray, var_deg: np.ndarray, chk_deg: np.ndarray):
-        """Set every field from a valid, simple edge set: each check's
-        variables check by check (the variables of the canonical edge list),
-        each variable's checks variable by variable, both in ascending
-        order, and the degrees.  Every field is read-only, and so is every
-        array; the samples of an ensemble share its degrees."""
+    def _set_tables(self, n_vars: int, n_checks: int, var: np.ndarray, chk: np.ndarray,
+                    var_deg: np.ndarray, chk_deg: np.ndarray):
+        """Set every field from the in-range endpoints of the edges, in any
+        order, and the degrees they give; the one builder of every graph.
+
+        Rejects parallel edges.  Sorting the keys ``chk * n_vars + var``
+        lists each check's variables in ascending order, check by check,
+        and subtracting each key's check part leaves the variables; the
+        keys ``var * n_checks + chk`` give each variable's checks the same
+        way.  Every field is read-only, and so is every array; the samples
+        of an ensemble share its degrees."""
+        by_chk = np.sort(chk * n_vars + var)
+        if np.count_nonzero(by_chk[1:] == by_chk[:-1]):
+            raise InvalidSpecError("parallel edges are not allowed")
+        by_chk -= np.repeat(np.arange(n_checks) * n_vars, chk_deg)
+        by_var = np.sort(var * n_checks + chk)
+        by_var -= np.repeat(np.arange(n_vars) * n_checks, var_deg)
         var_adj = _pad_rows(var_deg, by_var, n_checks)
         chk_adj = _pad_rows(chk_deg, by_chk, n_vars)
         for table in (var_deg, chk_deg, var_adj, chk_adj):
@@ -177,15 +179,13 @@ class TannerGraph:
         """Row i, column u: the flat slot of the edge from variable u to its
         i-th check in ascending order, in a ``chk_cols``-shaped array.
         Padding points at slot ``n_checks``, row 0 of the sentinel column."""
-        # Canonical edge e sits in column edge_chk[e], at its position
-        # within that check's edges.
-        edge_var, edge_chk = self.edges().T
-        starts = np.cumsum(self.check_degrees) - self.check_degrees
-        position = np.arange(self.n_edges) - starts[edge_chk]
-        flat = position * (self.n_checks + 1) + edge_chk
-        by_var = np.argsort(edge_var * self.n_checks + edge_chk)
-        slots = _pad_rows(self.var_degrees, flat[by_var], self.n_checks)
-        return _read_only(slots[:-1].T)
+        # The i-th check c of u holds u at the position of u in the
+        # ascending row c of chk_adj: the count of its entries below u.
+        # Padding reads the all-sentinel row, at position 0.
+        var_adj = self.var_adj[:-1]
+        position = (self.chk_adj.take(var_adj, axis=0)
+                    < np.arange(self.n_vars)[:, None, None]).sum(axis=2)
+        return _read_only((position * (self.n_checks + 1) + var_adj).T)
 
     def __eq__(self, other):
         if not isinstance(other, TannerGraph):
@@ -327,27 +327,6 @@ def distance(g: TannerGraph, vi: int, vj: int, max_depth: int | None = None):
 # -- configuration-model sampling ----------------------------------------
 
 
-def _from_matching(spec: EnsembleSpec, var_sockets: np.ndarray, chk_sockets: np.ndarray,
-                   matched: np.ndarray) -> TannerGraph:
-    """The graph of a simple matching of ``spec``'s sorted sockets: socket
-    i joins ``var_sockets[i]`` to ``matched[i]``."""
-    n, m = spec.n_vars, spec.n_checks
-    # Canonical order sorts on (check, variable), so its checks are the
-    # sorted check sockets, and each key minus its check's part is the
-    # variable.  Sorting on (variable, check) lists each variable's checks.
-    by_chk = matched * n
-    by_chk += var_sockets
-    by_chk.sort()
-    by_chk -= chk_sockets * n
-    var_part = var_sockets * m
-    by_var = var_part + matched
-    by_var.sort()
-    by_var -= var_part
-    g = TannerGraph.__new__(TannerGraph)
-    g._set_tables(n, m, by_chk, by_var, spec.var_degrees, spec.check_degrees)
-    return g
-
-
 def sample_graph_with_attempts(spec: EnsembleSpec, seed,
                                max_attempts: int = DEFAULT_MAX_ATTEMPTS
                                ) -> tuple[TannerGraph, int]:
@@ -362,8 +341,8 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
     list, so each attempt compares the matched checks at those offsets
     only, in O(E * max degree) and without a sort, into one reused
     buffer.  The sockets are built from the spec's degrees per call, and
-    the accepted graph is built from its matching (see the module
-    docstring).
+    the accepted matching goes to the table builder with them (see the
+    module docstring).
     """
     max_attempts = at_least(max_attempts, "max_attempts", 1)
     var_deg = spec.var_degrees
@@ -386,7 +365,10 @@ def sample_graph_with_attempts(spec: EnsembleSpec, seed,
             if np.count_nonzero(hit):
                 break
         else:
-            return _from_matching(spec, var_sockets, chk_sockets, matched), attempt
+            graph = TannerGraph.__new__(TannerGraph)
+            graph._set_tables(spec.n_vars, spec.n_checks, var_sockets, matched, var_deg,
+                              spec.check_degrees)
+            return graph, attempt
     raise SamplingFailureError(
         f"no simple configuration found in {max_attempts} attempts", attempts=max_attempts
     )

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, sample_graph, \
-    save_alist
+from ldpcbounds import ConfigError, DegreeDistribution, EnsembleSpec, load_alist, \
+    sample_graph, save_alist
 from ldpcbounds import experiments
 from ldpcbounds._util import fmt_number
 from ldpcbounds.cli import _build_parser, main
@@ -188,6 +188,17 @@ class TestValidate:
                         channel={"type": "bec", "epsilon": 0.4}, iterations=[3]),
             tmp_path)
         assert len(built) == 1
+
+    def test_run_reads_the_alist_once(self, tmp_path, monkeypatch, spec34_900):
+        alist_path = tmp_path / "g.alist"
+        save_alist(sample_graph(spec34_900, 1), alist_path)
+        loaded = []
+        monkeypatch.setattr(experiments, "load_alist",
+                            lambda path: loaded.append(path) or load_alist(path))
+        run(make_config(kind="simulate", seed=1, alist=str(alist_path),
+                        channel={"type": "bec", "epsilon": 0.4}, iterations=[1], trials=2),
+            tmp_path / "o")
+        assert loaded == [str(alist_path)]
 
 
 class TestRunKinds:
@@ -484,6 +495,38 @@ class TestCli:
         assert main(["figure5", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
         assert "cannot fit a0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+    def test_out_naming_a_file(self, tmp_path, capsys, below):
+        """An output directory that is, or lies below, an existing file is a
+        config error, from validate and from a run before it computes."""
+        path = self.write_config(tmp_path, {
+            "kind": "bounds", "seed": 1, "ensemble": REGULAR_ENSEMBLE,
+            "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1, 2]})
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile.joinpath(*below)
+        for command in ("validate", "bounds"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            out_text, err = capsys.readouterr()
+            assert "existing file" in err and "Traceback" not in err
+            assert "config ok" not in out_text
+        with pytest.raises(ConfigError, match="existing file"):
+            run(ExperimentConfig.from_json_file(path), out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+        assert afile.read_text() == "kept\n"
+
+    def test_malformed_alist(self, tmp_path, capsys):
+        """validate parses the alist file, as the run does."""
+        alist_path = tmp_path / "g.alist"
+        alist_path.write_text("3 2\n")
+        path = self.write_config(tmp_path, {
+            "kind": "simulate", "seed": 1, "alist": str(alist_path),
+            "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1], "trials": 2})
+        for command in ("validate", "simulate"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert "file too short for an alist header" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_validate_unknown_kind(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"kind": "foo", "seed": 1})

@@ -304,6 +304,23 @@ class TestTannerGraph:
         for c in range(g.n_checks):
             assert h.check_neighbors(c).tolist() == sorted(u for u, d in pairs if d == c)
 
+    @pytest.mark.parametrize("index", range(len(hand_built_graphs()) + 2))
+    def test_var_slots_locate_each_edge(self, index):
+        # Slot i of variable u holds u in chk_cols, in the column of u's
+        # i-th check; each padding slot is n_checks, in the sentinel column.
+        figure6 = EnsembleSpec(2000, DegreeDistribution.from_edge({2: 0.38354, 3: 0.04237,
+                                                                   4: 0.57409}),
+                               DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877}))
+        g = (hand_built_graphs() + [peg_construct(120, [3] * 120, 90),
+                                    sample_graph(figure6, 2)])[index]
+        slots, flat = g.var_slots, g.chk_cols.reshape(-1)
+        assert slots.shape == (g.var_adj.shape[1], g.n_vars)
+        for u in range(g.n_vars):
+            deg = g.var_degrees[u]
+            assert (flat[slots[:deg, u]] == u).all()
+            assert (slots[:deg, u] % (g.n_checks + 1) == g.var_adj[u, :deg]).all()
+            assert (slots[deg:, u] == g.n_checks).all()
+
 
 class TestSampling:
     def test_degree_bookkeeping(self):
