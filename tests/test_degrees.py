@@ -167,6 +167,38 @@ class TestRealizeDegreeSequences:
         assert set(np.unique(vd)) <= {2, 3}
         assert set(np.unique(cd)) <= {k, k + 1}
 
+    # (spec, degree -> count of each side, sha256 of var_degrees then
+    # check_degrees as int64 bytes).  Rounding leaves a socket imbalance of
+    # 0, 4 and 3: the check side absorbs the 4; no check move fits the 3
+    # (4 -> 8 is a step of 4), so the variable side absorbs it.
+    @pytest.mark.parametrize("spec, counts, digest", [
+        (EnsembleSpec(20000, DegreeDistribution.from_edge({2: 0.38354, 3: 0.04237,
+                                                           4: 0.57409}),
+                      DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877})),
+         ({2: 10977, 3: 808, 4: 8215}, {5: 2762, 6: 7238}),
+         "18f1f99bbd5f49a76cecc00d663d74865d62b4d43f65b03c9ff191fb6f064453"),
+        (EnsembleSpec(173, DegreeDistribution({2: .5, 3: .3, 5: .2}),
+                      DegreeDistribution({6: .6, 7: .4})),
+         ({2: 86, 3: 52, 5: 35}, {6: 43, 7: 35}),
+         "f79bac8af0327662b3db1c1e23e8ddd19f73d4055e21bee2cc7b20588171aa64"),
+        (EnsembleSpec(70, DegreeDistribution({2: .5, 3: .3, 5: .2}),
+                      DegreeDistribution({4: .6, 8: .4})),
+         ({2: 36, 3: 21, 5: 13}, {4: 22, 8: 14}),
+         "4c721ae9482ba3e8e8cd2384946ecc195b10f1ac480422500d57f319414d3ba6"),
+    ], ids=["figure6", "check-side-absorbs", "variable-side-absorbs"])
+    def test_irregular_realizations_pinned(self, spec, counts, digest):
+        sides = (spec.var_degrees, spec.check_degrees)
+        assert all(degrees.dtype == np.int64 for degrees in sides)
+        assert tuple({int(d): int(c) for d, c in zip(*np.unique(degrees, return_counts=True))}
+                     for degrees in sides) == counts
+        blob = b"".join(degrees.tobytes() for degrees in sides)
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_unbalanceable_message_pinned(self):
+        with pytest.raises(InvalidSpecError) as exc:
+            EnsembleSpec(10, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+        assert str(exc.value) == "cannot balance sockets for N=10: -2 sockets left over"
+
 
 class TestEdgeViewConsumers:
     # sha256 of the JSON dump below; any float that moves in density
