@@ -2,7 +2,8 @@
 
 Subcommands mirror the experiment kinds plus ``validate``; every run
 takes a JSON config and writes CSV artifacts with a manifest.  Exit
-codes: 0 success, 2 config error, 3 capacity error.
+codes: 0 success, 2 config error, 3 capacity error (a guarded size limit,
+or an array too large to allocate, from ``validate`` or a run).
 """
 
 from __future__ import annotations
@@ -59,27 +60,25 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+def _print_report(report) -> int:
+    """Print the findings of ``validate``; returns the exit code they give."""
+    for message in report.errors:
+        print(f"error: {message}", file=sys.stderr)
+    for message in report.infos:
+        print(f"info: {message}")
+    if report.ok:
+        print("config ok")
+    return EXIT_OK if report.ok else EXIT_CONFIG
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.command == "validate":
-        report = validate(config)
-        for message in report.errors:
-            print(f"error: {message}", file=sys.stderr)
-        for message in report.infos:
-            print(f"info: {message}")
-        if report.ok:
-            print("config ok")
-        return EXIT_OK if report.ok else EXIT_CONFIG
-
-    try:
+        if args.command == "validate":
+            return _print_report(validate(config))
         manifest = run(config)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:  # MemoryError: a size no array can hold
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except LdpcBoundsError as exc:  # ConfigError and every other input error

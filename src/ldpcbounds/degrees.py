@@ -148,29 +148,19 @@ def _repair_sockets(counts: dict[int, int], delta: int) -> int:
 
     Moves always involve the largest-degree bucket when possible and
     never change the total node count.  Returns the part of ``delta``
-    that could not be absorbed exactly.
+    that could not be absorbed exactly.  ``counts`` lists its degrees in
+    ascending order, as ``_largest_remainder_counts`` makes it, and the
+    first of equally preferred moves in that order is taken.
     """
-    support = sorted(counts)
-    if len(support) < 2:
-        return delta
-    big = support[-1]
+    big = max(counts)
     while delta != 0:
-        best = None
-        for d in support:
-            for d2 in support:
-                gain = d2 - d
-                if gain == 0 or counts[d] == 0:
-                    continue
-                if gain * delta <= 0 or abs(gain) > abs(delta):
-                    continue
-                # Prefer moves that touch the largest-degree bucket, then
-                # the largest absorbable step.
-                key = (d2 == big or d == big, abs(gain))
-                if best is None or key > best[0]:
-                    best = (key, d, d2)
-        if best is None:
+        moves = [(d, d2) for d in counts for d2 in counts
+                 if counts[d] > 0 and 0 < (d2 - d) * delta and abs(d2 - d) <= abs(delta)]
+        if not moves:
             return delta
-        _, d, d2 = best
+        # Prefer moves that touch the largest-degree bucket, then the
+        # largest absorbable step.
+        d, d2 = max(moves, key=lambda m: (big in m, abs(m[1] - m[0])))
         counts[d] -= 1
         counts[d2] += 1
         delta -= d2 - d
@@ -240,12 +230,5 @@ def _realize_degree_sequences(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarra
         raise InvalidSpecError(
             f"cannot balance sockets for N={spec.n_vars}: {delta} sockets left over"
         )
-    var_degrees = np.repeat(
-        np.fromiter(var_counts.keys(), dtype=np.int64),
-        np.fromiter(var_counts.values(), dtype=np.int64),
-    )
-    check_degrees = np.repeat(
-        np.fromiter(chk_counts.keys(), dtype=np.int64),
-        np.fromiter(chk_counts.values(), dtype=np.int64),
-    )
-    return var_degrees, check_degrees
+    return tuple(np.repeat(np.array(list(counts), dtype=np.int64), list(counts.values()))
+                 for counts in (var_counts, chk_counts))

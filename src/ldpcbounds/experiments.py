@@ -15,13 +15,14 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from math import isfinite, log2
 from pathlib import Path
+from stat import S_ISDIR
 
 from . import __version__
 from ._util import fmt_number
 from .alist import load_alist
 from .channels import Bec, Biawgn, Bsc, ChannelModel, eb_n0_to_sigma2
 from .degrees import DegreeDistribution, EnsembleSpec
-from .errors import CapacityError, ConfigError, LdpcBoundsError
+from .errors import CapacityError, ConfigError, InvalidDistributionError, LdpcBoundsError
 from .irregular import (BRANCH_BELOW, RecursionTrace, empirical_tail,
                         irregular_lower_bound, tail_distribution, weight_recursion)
 from .oracle import expected_min_weight_mc
@@ -204,9 +205,19 @@ def build_spec(config: ExperimentConfig) -> EnsembleSpec:
     ens = config.ensemble
     edge = ens.get("perspective") == "edge"
     make = DegreeDistribution.from_edge if edge else DegreeDistribution
-    var_dist, check_dist = (make({int(d): f for d, f in ens[key].items()})
-                            for key in ("var_dist", "check_dist"))
+    var_dist, check_dist = (make(_degree_terms(ens[key])) for key in ("var_dist", "check_dist"))
     return EnsembleSpec(ens["n_vars"], var_dist, check_dist)
+
+
+def _degree_terms(block: dict) -> dict[int, float]:
+    """Degree -> fraction of one degree map; two keys that name one degree,
+    such as "3" and "03", are an error rather than one silently dropped."""
+    terms = {}
+    for key, fraction in block.items():
+        if int(key) in terms:
+            raise InvalidDistributionError(f"degree {int(key)} appears twice")
+        terms[int(key)] = fraction
+    return terms
 
 
 def build_channel(config: ExperimentConfig, spec: EnsembleSpec | None) -> tuple[ChannelModel, dict]:
@@ -256,7 +267,8 @@ class ValidationReport:
 def validate(config: ExperimentConfig) -> ValidationReport:
     """Every check a config must pass for ``run`` to start its kind.
 
-    Rejects an output directory that is, or lies below, an existing file.
+    Rejects an output directory that is, or lies below, an existing file,
+    or that cannot be inspected.
     Builds the ensemble, the alist file's graph and the channel and
     evaluates the kind's weight bound, which takes microseconds per
     iteration count and raises the bound's own argument errors; each
@@ -271,9 +283,7 @@ def validate(config: ExperimentConfig) -> ValidationReport:
     if report.errors:
         return report
     kind = config.kind
-    out = Path(config.out_dir)
-    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
-        report.errors.append(f"output directory {out} is, or lies below, an existing file")
+    report.errors += _out_dir_errors(Path(config.out_dir))
     for name in _KINDS[kind][1]:
         if getattr(config, name) in (None, []):
             report.errors.append(f"kind {kind} requires '{name}'")
@@ -289,12 +299,12 @@ def validate(config: ExperimentConfig) -> ValidationReport:
             report.spec = build_spec(config)
         except (LdpcBoundsError, ValueError) as exc:
             report.errors.append(f"ensemble: {exc}")
-    if config.alist is not None and not Path(config.alist).is_file():
-        report.errors.append(f"alist file not found: {config.alist}")
-    elif config.alist is not None:
+    if config.alist is not None:
         try:
             report.graph = load_alist(config.alist)
-        except (LdpcBoundsError, OSError) as exc:
+        except FileNotFoundError:
+            report.errors.append(f"alist file not found: {config.alist}")
+        except (OSError, ValueError) as exc:  # AlistParseError is a ValueError
             report.errors.append(f"alist: {exc}")
     if config.channel is not None:
         try:
@@ -325,6 +335,22 @@ def validate(config: ExperimentConfig) -> ValidationReport:
                 + ("; the weight bound degenerates to w=N" if regime == REGIME_BLOCK else "")
                 for l, regime in regimes if regime not in (REGIME_TREE, BRANCH_BELOW)]
     return report
+
+
+def _out_dir_errors(out: Path) -> list[str]:
+    """Why ``out`` cannot be the output directory, as far as stat can tell:
+    it is, or lies below, an existing file, or it cannot be inspected (a
+    NUL byte, a name too long, no permission).  A missing entry is fine."""
+    for path in (out, *out.parents):
+        try:
+            mode = path.stat().st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except (OSError, ValueError) as exc:  # ValueError: an embedded NUL byte
+            return [f"output directory {str(out)!r} cannot be inspected: {exc}"]
+        if not S_ISDIR(mode):
+            return [f"output directory {out} is, or lies below, an existing file"]
+    return []
 
 
 # -- CSV helpers -------------------------------------------------------------
@@ -510,7 +536,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     density-evolution BER at the a0 anchor is 0 or 1, and propagates
     CapacityError from the oracle.  The output directory is made only
     after the kind's tables are computed, so a run that raises writes
-    nothing.
+    nothing; an OSError from making it or writing into it becomes a
+    ConfigError.
     """
     if out_dir is not None:
         config = replace(config, out_dir=str(out_dir))
@@ -520,19 +547,22 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     started = datetime.now(timezone.utc).isoformat()
     tables = _KINDS[config.kind][0](config, report)
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)
-               for name, rows in tables.items()}
-    manifest = {
-        "config_hash": config.config_hash(),
-        "tool_version": __version__,
-        "kind": config.kind,
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
-        "config": config.canonical_dict(),
-        "notes": report.notes,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        outputs = {name: _write_csv(out / name, CSV_HEADERS[name.removesuffix(".csv")], rows)
+                   for name, rows in tables.items()}
+        manifest = {
+            "config_hash": config.config_hash(),
+            "tool_version": __version__,
+            "kind": config.kind,
+            "started_at": started,
+            "finished_at": datetime.now(timezone.utc).isoformat(),
+            "outputs": outputs,
+            "config": config.canonical_dict(),
+            "notes": report.notes,
+        }
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out}: {exc}") from None
     return manifest

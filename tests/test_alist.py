@@ -123,3 +123,17 @@ def test_non_ascii_file_rejected(tmp_path):
     path.write_bytes(b"2 1\n\xff\xfe\n")
     with pytest.raises(AlistParseError, match="not ASCII"):
         load_alist(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x\n1 1\n1 1\n2\n1\n1\n1 2\n", "line 1: non-integer token 'x'"),
+    ("2 1\n1 1\n1 1 1\n2\n1\n1\n1 2\n", "line 3: expected 2 variable degrees, got 3"),
+    ("0 1\n0 1\n0\n1\n", "line 1: expected 'N M' with positive counts"),
+    ("2 1\n1 2\n1 1\n2\n1\n1\n", "expected 7 non-empty lines, found 6"),
+], ids=["non-integer-token", "header-count", "zero-variables", "adjacency-line-count"])
+def test_malformed_file_message(tmp_path, text, message):
+    path = tmp_path / "bad.alist"
+    path.write_text(text)
+    with pytest.raises(AlistParseError) as exc:
+        load_alist(path)
+    assert str(exc.value) == message

@@ -101,6 +101,11 @@ class TestEnsembleSpec:
         with pytest.raises(InvalidSpecError, match="design rate"):
             EnsembleSpec(4, DegreeDistribution.regular(3), DegreeDistribution.regular(3))
 
+    def test_single_variable_rejected(self):
+        with pytest.raises(InvalidSpecError) as exc:
+            EnsembleSpec(1, DegreeDistribution.regular(3), DegreeDistribution.regular(4))
+        assert str(exc.value) == "n_vars must be >= 2"
+
     def test_check_degree_two_minimum(self):
         with pytest.raises(InvalidSpecError):
             EnsembleSpec(8, DegreeDistribution.regular(2), DegreeDistribution({1: 1.0}))

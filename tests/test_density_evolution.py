@@ -90,6 +90,19 @@ class TestGaAwgn:
         assert trace.ber[-1] < 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: de_bec(R3, R6, -0.1, 2), "epsilon outside [0, 1]"),
+    (lambda: de_bec(R3, R6, 1.5, 2), "epsilon outside [0, 1]"),
+    (lambda: ga_awgn(R3, R6, 0.0, 2), "sigma2 must be positive"),
+    (lambda: ga_awgn(R3, R6, -1.0, 2), "sigma2 must be positive"),
+], ids=["bec-negative-epsilon", "bec-epsilon-above-one", "awgn-zero-sigma2",
+        "awgn-negative-sigma2"])
+def test_channel_parameter_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 class TestPhi:
     def test_split_literal_is_the_crossing(self):
         crossing = brentq(lambda s: _phi_small(s) - _phi_large(s), 4.0, 8.0)

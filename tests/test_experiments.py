@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -78,6 +80,13 @@ class TestConfigParsing:
     def test_requires_seed(self):
         with pytest.raises(ConfigError):
             make_config(kind="de")
+
+    def test_root_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('[{"kind": "de", "seed": 1}]')
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json_file(path)
+        assert str(exc.value) == "config root must be a JSON object"
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -178,6 +187,16 @@ class TestValidate:
                           iterations=[1], trials=2)
         report = validate(cfg)
         assert any("not found" in e for e in report.errors)
+
+    @pytest.mark.parametrize("ensemble, message", [
+        (REGULAR_ENSEMBLE | {"n_vars": 1}, "ensemble: n_vars must be >= 2"),
+        # "03" is a decimal key, and int("03") == 3.
+        (REGULAR_ENSEMBLE | {"var_dist": {"3": 0.5, "03": 0.5, "4": 0.5}},
+         "ensemble: degree 3 appears twice"),
+    ], ids=["one-variable", "degree-key-twice"])
+    def test_ensemble_error_line(self, ensemble, message):
+        report = validate(make_config(kind="tail", seed=1, ensemble=ensemble, d_max=2))
+        assert report.errors == [message]
 
     def test_run_builds_the_spec_once(self, tmp_path, monkeypatch):
         built = []
@@ -294,6 +313,17 @@ class TestRunKinds:
         for row in rows:
             g_low, g_up, g_sim = float(row[1]), float(row[3]), float(row[4])
             assert g_up <= g_sim <= g_low
+
+    def test_figure5_zero_simulated_ber(self, tmp_path):
+        cfg = make_config(kind="figure5", seed=4, ensemble=REGULAR_ENSEMBLE,
+                          channel={"type": "bec", "epsilon": 0.1},
+                          iterations=[1, 2], trials=10, code="ensemble")
+        run(cfg, tmp_path)
+        _, sim = read_rows(tmp_path / "figure5_sim.csv")
+        _, rows = read_rows(tmp_path / "figure5.csv")
+        assert sim[0][1] != "0" and sim[1][1] == "0"
+        # gamma of a BER of 0 is undefined: the cell is empty, not inf.
+        assert rows[0][4] != "" and rows[1][4] == ""
 
     def test_figure5_supplied_a0(self, tmp_path):
         cfg = make_config(kind="figure5", seed=4, ensemble=REGULAR_ENSEMBLE,
@@ -416,6 +446,8 @@ class TestCli:
         ("oracle", {"n_samples": 2.5}),
         ("simulate", {"alist": 5}),
         ("simulate", {"alist": "."}),
+        ("simulate", {"alist": "x" * 300}),
+        ("simulate", {"alist": "a\u0000b"}),
         ("simulate", {"code": "foo"}),
         ("simulate", {"channel": {"type": "biawgn", "sigma2": 1e-310}}),
         ("de", {"ensemble": REGULAR_ENSEMBLE | {"perspektive": "edge"}}),
@@ -433,17 +465,19 @@ class TestCli:
         ("simulate", {"ensemble": None}),
         ("figure5", {"ensemble": {"n_vars": 120, "var_dist": {"2": 1.0},
                                   "check_dist": {"4": 1.0}}}),
+        ("bounds", {"ensemble": REGULAR_ENSEMBLE | {"var_dist": {"3": 0.5, "03": 0.5,
+                                                                 "4": 0.5}}}),
     ], ids=["negative-iterations", "anchor-past-range", "negative-anchor", "string-seed",
             "string-trials", "negative-trials", "float-trials", "zero-trials-per-block",
             "string-threads", "zero-threads", "string-theta1", "theta1-above-one",
             "string-a0", "string-d-max", "negative-d-max", "string-n-instances",
             "negative-n-instances", "string-n-samples", "negative-n-samples",
-            "float-n-samples", "integer-alist", "directory-alist",
+            "float-n-samples", "integer-alist", "directory-alist", "long-alist", "nul-alist",
             "unknown-code", "subnormal-sigma2", "misspelt-perspective",
             "bec-with-q", "sigma2-and-eb-n0", "eb-n0-overflow", "eb-n0-underflow",
             "eb-n0-infinite-sigma2", "bsc-de", "bsc-figure5", "regular-2-4-bounds",
             "check-degree-2-recursion", "check-degree-2-bounds", "simulate-without-code",
-            "regular-2-4-figure5"])
+            "regular-2-4-figure5", "degree-key-twice"])
     def test_bad_config_exit_code(self, tmp_path, capsys, kind, changes):
         """A config the run rejects is rejected by validate too, and the run
         writes nothing."""
@@ -515,6 +549,45 @@ class TestCli:
             run(ExperimentConfig.from_json_file(path), out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name, validate_code", [
+        ("a\u0000b", 2),
+        ("x" * 300, 2),
+        pytest.param("/proc/nope", 0, marks=pytest.mark.skipif(
+            sys.platform != "linux", reason="/proc is Linux's")),
+    ], ids=["nul-byte", "name-too-long", "cannot-make"])
+    def test_out_unusable(self, tmp_path, capsys, name, validate_code):
+        """An output directory that stat cannot inspect is a config error from
+        validate, before any computing; one that the run cannot make is a
+        config error after it.  Neither leaves a directory or a traceback."""
+        path = self.write_config(tmp_path, {
+            "kind": "bounds", "seed": 1, "ensemble": REGULAR_ENSEMBLE,
+            "channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1, 2]})
+        out = str(tmp_path / name)  # an absolute name replaces tmp_path
+        for command, code in (("validate", validate_code), ("bounds", 2)):
+            assert main([command, "--config", str(path), "--out", out]) == code
+            out_text, err = capsys.readouterr()
+            assert err.count("error:") == (code == 2) and "Traceback" not in err
+            assert ("config ok" in out_text) == (command == "validate" and code == 0)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert not os.path.exists(out)  # False also where stat raises
+
+    @pytest.mark.parametrize("kind, changes, validate_code", [
+        ("recursion", {"iterations": [10**17]}, 3),
+        ("tail", {"d_max": 10**17}, 0),
+    ], ids=["recursion-iterations", "tail-d-max"])
+    def test_size_no_array_holds(self, tmp_path, capsys, kind, changes, validate_code):
+        """10**17 float64 values (711 PiB) exceed any address space, so numpy
+        refuses the array at once: a capacity error, exit 3, from validate
+        where it computes the recursion and from the run, which writes
+        nothing."""
+        path = self.write_config(tmp_path, {
+            "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE, **changes})
+        for command, code in (("validate", validate_code), (kind, 3)):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+            err = capsys.readouterr().err
+            assert err.count("capacity error:") == (code == 3) and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_alist(self, tmp_path, capsys):
         """validate parses the alist file, as the run does."""

@@ -49,6 +49,11 @@ class TestL1Threshold:
         with pytest.raises(InvalidDistributionError):
             l1_threshold(X3, DegreeDistribution.regular(2), 100, 0.9)
 
+    def test_negative_theta1_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            l1_threshold(X3, X4, 100, -0.1)
+        assert type(exc.value) is ValueError and str(exc.value) == "theta1 must be >= 0"
+
 
 class TestWeightRecursion:
     def test_hand_unrolled_fixture(self):

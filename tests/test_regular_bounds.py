@@ -216,6 +216,29 @@ class TestLentmaier:
             math.log(5400) / math.log(6), rel=1e-12)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegularParams(j=3, k=1, n_vars=100, iterations=1),
+     "check degree must be >= 2"),
+    (lambda: RegularParams(j=3, k=4, n_vars=100, iterations=1, theta1=0.0),
+     "theta1 must lie in (0, 1)"),
+    (lambda: RegularParams(j=3, k=4, n_vars=100, iterations=1, theta1=1.0),
+     "theta1 must lie in (0, 1)"),
+    (lambda: RegularParams(j=3, k=4, n_vars=101, iterations=1),
+     "n_vars * j must be divisible by k"),
+    (lambda: valid_tree_counts(2, 1), "need j >= 3 and depth >= 0"),
+    (lambda: neighborhood_max_counts(1, 4, 2), "need j >= 2, k >= 2, depth >= 0"),
+    (lambda: lentmaier_upper(3, 2, 0.0), "a0 must be positive"),
+    (lambda: lentmaier_upper(2, 2, 0.5), "variable degree must be >= 3"),
+    (lambda: lentmaier_fit_a0(3, 2, 1.0), "anchor probability must be in (0, 1)"),
+], ids=["params-k-below-two", "params-theta1-zero", "params-theta1-one",
+        "params-sockets-indivisible", "tree-counts-j-two", "neighborhood-j-one",
+        "lentmaier-a0-zero", "lentmaier-j-two", "fit-a0-p-one"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 class TestHeadlineSlope:
     """The paper's headline claim: in the tree regime the lower bound has
     the dominant order of Lentmaier's upper bound, so on the double-log

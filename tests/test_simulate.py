@@ -107,6 +107,10 @@ class TestEstimateBer:
         assert est.n_bits == 50 * 120
         assert est.ber == est.half_error_units / (2.0 * est.n_bits)
 
+    def test_single_trial_has_zero_std_error(self, small_graph):
+        est = estimate_ber(small_graph, Bec(0.5), 1, 1, 3)
+        assert est.n_trials == 1 and est.ber > 0 and est.std_error == 0.0
+
     def test_rejects_zero_trials(self, small_graph):
         with pytest.raises(ValueError):
             estimate_ber(small_graph, Bec(0.1), 1, 0, seed=1)

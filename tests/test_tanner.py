@@ -248,6 +248,27 @@ class TestTannerGraph:
         b = TannerGraph(3, 2, [(2, 0), (0, 0), (1, 1)])
         assert a == b
 
+    def test_other_types_hash_and_repr(self):
+        g = TannerGraph(3, 2, [(0, 0), (1, 1), (2, 0)])
+        assert g.__eq__((0, 0)) is NotImplemented and g != "graph"
+        assert hash(g) == hash(TannerGraph(3, 2, [(2, 0), (1, 1), (0, 0)]))
+        assert repr(g) == "TannerGraph(n_vars=3, n_checks=2, n_edges=3)"
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: TannerGraph(0, 1, []), InvalidSpecError,
+         "graph needs at least one node per side"),
+        (lambda: TannerGraph(2, 1, [0, 1]), InvalidSpecError,
+         "edges must be (var, check) pairs"),
+        (lambda: peg_construct(3, [2, 2], 2), ConstructionError,
+         "var_degrees must list one degree per variable"),
+        (lambda: peg_construct(3, [1, 1, 1], 0), ConstructionError,
+         "need at least one check node"),
+    ], ids=["no-variables", "one-dimensional-edges", "peg-degree-count", "peg-no-checks"])
+    def test_rejects_malformed_input(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
     @pytest.mark.parametrize("name", ["var_adj", "chk_adj", "var_degrees",
                                       "check_degrees"])
     @pytest.mark.parametrize("built", ["constructed", "peg", "alist", "sampled"])
