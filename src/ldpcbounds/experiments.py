@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from math import isfinite, log2
 from pathlib import Path
 from stat import S_ISDIR
+from sys import maxsize
 
 from . import __version__
 from ._util import fmt_number
@@ -46,10 +47,13 @@ CSV_HEADERS = {
 }
 
 
-def _field(json_type, default=None, *, hashed: bool = True, **meta):
+def _field(json_type, default=None, *, hashed: bool = True, size: bool = True, **meta):
     """One top-level config key (see ``_block_errors``), required when it
-    has no default; ``hashed`` fields enter the config hash."""
-    meta.update(type=json_type, required=default is MISSING, hashed=hashed)
+    has no default; ``hashed`` fields enter the config hash, and each
+    integer of an integer or list ``size`` field must not exceed
+    ``_MAX_SIZE``."""
+    meta.update(type=json_type, required=default is MISSING, hashed=hashed,
+                size=size and json_type in (int, list))
     if json_type is list:
         return field(default_factory=list, metadata=meta)
     return field(default=default, metadata=meta)
@@ -62,7 +66,7 @@ def _degree_keys(dist: dict) -> dict:
 
 
 _ENSEMBLE_KEYS = {
-    "n_vars": {"type": int, "required": True},
+    "n_vars": {"type": int, "required": True, "size": True},
     "var_dist": {"type": dict, "required": True, "keys": _degree_keys},
     "check_dist": {"type": dict, "required": True, "keys": _degree_keys},
     "perspective": {"type": str, "among": ("node", "edge")},
@@ -94,7 +98,7 @@ class ExperimentConfig:
     """
 
     kind: str = _field(str, MISSING)
-    seed: int = _field(int, MISSING, ge=0)
+    seed: int = _field(int, MISSING, size=False, ge=0)
     ensemble: dict | None = _field(dict, keys=_ENSEMBLE_KEYS)
     alist: str | None = _field(str)
     channel: dict | None = _field(dict, keys=_channel_keys)
@@ -143,6 +147,13 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
+# The largest size a config may give, 2**59 - 1 on a 64-bit host.  numpy
+# indexes no array of more than maxsize bytes, 2**60 - 1 entries of 8
+# bytes, and raises ValueError rather than MemoryError above that; above
+# int64 a Python int does not convert to an index at all.  Half of that
+# leaves room for the d_max + 1 entries of a d_max, and for a degree count
+# of n_vars rounded up through a float.
+_MAX_SIZE = maxsize // 16
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                dict: "an object", list: "a list of integers"}
 _RULE_TESTS = {"ge": (">=", lambda v, b: v >= b), "gt": (">", lambda v, b: v > b),
@@ -194,6 +205,25 @@ def _block_errors(block: dict, schema: dict, where: str = "config") -> list[str]
             errors += _block_errors(value, keys(value) if callable(keys) else keys,
                                     prefix + name)
     return errors
+
+
+def _oversized(block: dict, schema: dict, where: str = "config") -> list[str]:
+    """``name = value`` for each integer above ``_MAX_SIZE`` in a block that
+    ``_block_errors`` passed, or in its nested blocks, in the fields whose
+    schema marks them ``size``."""
+    prefix = "" if where == "config" else f"{where}."
+    found = []
+    for name, meta in schema.items():
+        value = block.get(name)
+        if value is None:
+            continue
+        if meta.get("size"):
+            entries = value if meta["type"] is list else [value]
+            found += [f"{prefix}{name} = {v}" for v in entries if v > _MAX_SIZE]
+        keys = meta.get("keys")
+        if keys is not None:
+            found += _oversized(value, keys(value) if callable(keys) else keys, prefix + name)
+    return found
 
 
 def build_spec(config: ExperimentConfig) -> EnsembleSpec:
@@ -267,6 +297,7 @@ class ValidationReport:
 def validate(config: ExperimentConfig) -> ValidationReport:
     """Every check a config must pass for ``run`` to start its kind.
 
+    Raises CapacityError for a size above ``_MAX_SIZE``, in any kind.
     Rejects an output directory that is, or lies below, an existing file,
     or that cannot be inspected.
     Builds the ensemble, the alist file's graph and the channel and
@@ -282,6 +313,10 @@ def validate(config: ExperimentConfig) -> ValidationReport:
         report.errors.append(f"unknown kind {config.kind!r}")
     if report.errors:
         return report
+    oversized = _oversized(vars(config), _CONFIG_KEYS)
+    if oversized:
+        raise CapacityError(f"{'; '.join(oversized)}: above the size limit {_MAX_SIZE}, "
+                            "which no array fits in memory")
     kind = config.kind
     report.errors += _out_dir_errors(Path(config.out_dir))
     for name in _KINDS[kind][1]:

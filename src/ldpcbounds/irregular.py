@@ -189,6 +189,7 @@ def empirical_tail(spec: EnsembleSpec, d_max: int, n_instances: int,
                 exceed += 1
             else:
                 exceed[:d] += 1
+        del g  # so that one sampled graph is alive at a time
     survival = exceed / n_pairs
     smoothed = (exceed + 1.0) / (n_pairs + 2.0)
     std_error = np.sqrt(smoothed * (1.0 - smoothed) / n_pairs)

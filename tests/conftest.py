@@ -10,6 +10,13 @@ def spec34_900():
 
 
 @pytest.fixture(scope="session")
+def figure6_spec():
+    """The figure6 acceptance ensemble, given as edge fractions, at N=20000."""
+    return EnsembleSpec(20000, DegreeDistribution.from_edge({2: 0.38354, 3: 0.04237, 4: 0.57409}),
+                        DegreeDistribution.from_edge({5: 0.24123, 6: 0.75877}))
+
+
+@pytest.fixture(scope="session")
 def tree_graph():
     """Cycle-free fixture: root variable 0 on three degree-4 checks, nine leaves.
 

@@ -575,19 +575,42 @@ class TestCli:
     @pytest.mark.parametrize("kind, changes, validate_code", [
         ("recursion", {"iterations": [10**17]}, 3),
         ("tail", {"d_max": 10**17}, 0),
-    ], ids=["recursion-iterations", "tail-d-max"])
+        ("tail", {"d_max": 10**19}, 3),
+        ("tail", {"d_max": 2**63}, 3),
+        ("figure6", {"d_max": 10**19, "n_instances": 1, "pairs_per_instance": 1}, 3),
+        ("figure6", {"d_max": 2**63, "n_instances": 1, "pairs_per_instance": 1}, 3),
+        ("de", {"channel": {"type": "bec", "epsilon": 0.4}, "iterations": [10**19]}, 3),
+        ("simulate", {"channel": {"type": "bec", "epsilon": 0.4}, "iterations": [1],
+                      "trials": 10**19}, 3),
+        *[("tail", {"d_max": 4, "ensemble": {**REGULAR_ENSEMBLE, "n_vars": n_vars}}, 3)
+          for n_vars in (2**40, 2**62, 2**63 - 1, 2**80)],
+    ], ids=["recursion-iterations", "tail-d-max", "tail-d-max-1e19", "tail-d-max-2**63",
+            "figure6-d-max-1e19", "figure6-d-max-2**63", "de-iterations-1e19",
+            "simulate-trials-1e19", "n-vars-2**40", "n-vars-2**62", "n-vars-2**63-1",
+            "n-vars-2**80"])
     def test_size_no_array_holds(self, tmp_path, capsys, kind, changes, validate_code):
         """10**17 float64 values (711 PiB) exceed any address space, so numpy
         refuses the array at once: a capacity error, exit 3, from validate
-        where it computes the recursion and from the run, which writes
-        nothing."""
+        where it computes the recursion or builds the ensemble and from the
+        run, which writes nothing; 2**40 variables (8 TiB of degrees) rely on
+        the host refusing an allocation beyond its memory, as Linux's default
+        heuristic overcommit does.  A size above validate's limit, 2**59 - 1,
+        is that error from validate for every kind, before numpy sees it."""
         path = self.write_config(tmp_path, {
             "kind": kind, "seed": 1, "ensemble": REGULAR_ENSEMBLE, **changes})
         for command, code in (("validate", validate_code), (kind, 3)):
             assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == code
             err = capsys.readouterr().err
             assert err.count("capacity error:") == (code == 3) and "Traceback" not in err
+            assert len(err.splitlines()) == (code == 3)
         assert not (tmp_path / "o").exists()
+
+    def test_size_limit_spares_the_seed(self, tmp_path, capsys):
+        """A seed is no size: one above int64 runs like any other."""
+        path = self.write_config(tmp_path, {
+            "kind": "tail", "seed": 2**80, "ensemble": REGULAR_ENSEMBLE, "d_max": 4})
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
     def test_malformed_alist(self, tmp_path, capsys):
         """validate parses the alist file, as the run does."""

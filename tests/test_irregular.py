@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,21 @@ class TestEmpiricalTail:
         a = empirical_tail(spec34_900, 6, 2, 30, seed=5)
         b = empirical_tail(spec34_900, 6, 2, 30, seed=5)
         assert np.array_equal(a.survival, b.survival)
+
+    def test_one_instance_alive_at_a_time(self, figure6_spec):
+        """Instance i is dropped before instance i+1 is sampled, so three
+        figure6 instances peak as high as one; keeping the previous graph
+        alive while sampling the next adds a whole graph to the peak."""
+        def peak(n_instances):
+            tracemalloc.start()
+            try:
+                empirical_tail(figure6_spec, 14, n_instances, 2, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(1)
+        assert peak(3) <= 1.05 * one
 
     def test_regular_1000_distance_two_mass(self):
         spec = EnsembleSpec(1000, X3, X4)

@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import sys
+import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -205,6 +206,29 @@ class TestTannerGraph:
     def test_parallel_edges_rejected(self):
         with pytest.raises(InvalidSpecError):
             TannerGraph(2, 1, [(0, 0), (0, 0)])
+
+    def test_edges_argument_unchanged(self):
+        """The sort keys are built in place, but never in the caller's array."""
+        edges = np.array([[0, 1], [2, 0], [1, 1], [0, 0], [2, 1]], dtype=np.int64)
+        before = edges.copy()
+        g = TannerGraph(3, 2, edges)
+        assert edges.flags.writeable and np.array_equal(edges, before)
+        assert g.edges().tolist() == [[0, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+
+    def test_table_build_keeps_one_key_array(self, figure6_spec):
+        """Building a figure6-size graph holds the finished arrays, one int64
+        sort key per edge, and temporaries smaller than a second key array
+        (the bool masks of the parallel-edge check and the padding)."""
+        edges = sample_graph(figure6_spec, 1).edges()
+        tracemalloc.start()
+        try:
+            g = TannerGraph(figure6_spec.n_vars, figure6_spec.n_checks, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        finished = sum(a.nbytes for a in (g.var_degrees, g.check_degrees, g.var_adj, g.chk_adj))
+        key_bytes = 8 * g.n_edges
+        assert peak < finished + 2 * key_bytes
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidSpecError):
